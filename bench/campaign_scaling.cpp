@@ -1,5 +1,5 @@
 // Campaign-engine scaling: trials/second of the neuron-injection campaign at
-// 1, 2, 4, and 8 worker threads on a ResNet18-style model, plus a live check
+// 1, 2, 4, ... worker threads on a ResNet18-style model, plus a live check
 // that every thread count reproduces the single-thread CampaignResult counts
 // exactly (the engine's determinism guarantee).
 //
@@ -9,7 +9,8 @@
 // to ~1x with a small scheduling overhead; run on a multi-core host to see
 // the speedup.
 //
-// Environment knobs: PFI_TRIALS (default 200), PFI_MAX_THREADS (default 8),
+// Environment knobs: PFI_TRIALS (default 200), PFI_MAX_THREADS (default: the
+// hardware thread count),
 // PFI_CAMPAIGN_TRACE=1 attaches a TraceSink to every run — the trace-on vs
 // trace-off comparison behind the EXPERIMENTS.md overhead table — and
 // additionally checks the merged JSONL is byte-identical across thread
@@ -39,7 +40,9 @@
 int main() {
   using namespace pfi;
   const std::int64_t trials = util::env_int("PFI_TRIALS", 200);
-  const std::int64_t max_threads = util::env_int("PFI_MAX_THREADS", 8);
+  const std::int64_t max_threads = util::env_int(
+      "PFI_MAX_THREADS",
+      static_cast<std::int64_t>(util::ThreadPool::hardware_threads()));
   const bool tracing = util::env_int("PFI_CAMPAIGN_TRACE", 0) != 0;
   const bool checkpointing = util::env_int("PFI_CAMPAIGN_CHECKPOINT", 0) != 0;
   const std::int64_t shards = util::env_int("PFI_SHARDS", 1);
@@ -161,6 +164,7 @@ int main() {
                            r.skipped == reference.skipped &&
                            r.corruptions == reference.corruptions &&
                            r.non_finite == reference.non_finite &&
+                           r.gave_up == reference.gave_up &&
                            jsonl == reference_jsonl;
     std::printf("%8lld %12.3f %12.1f %9.2fx %12s\n",
                 static_cast<long long>(threads), seconds,

@@ -17,10 +17,15 @@
 // shard k owns attempts {a : a mod S == k} up to a shared horizon, every
 // attempt is a pure function of (seed, attempt index), and the merge simply
 // folds attempts 0,1,2,... until the trial target is reached, exactly as
-// the serial loop would. If the fold exhausts the horizon before the target
-// (rare — the driver picks a generous horizon), the merge throws
-// ShardHorizonExhausted and the supervisor extends the horizon and resumes
-// every shard from its checkpoint.
+// the serial loop would. If the fold exhausts the horizon before the target,
+// the merge throws ShardHorizonExhausted and the driver doubles the horizon
+// and resumes every shard from its checkpoint. The in-process driver starts
+// at the fewest attempts that could reach the target, ceil(trials /
+// (batch_size x injections_per_image)), so it expects to extend whenever
+// golden runs misclassify; resumes recompute nothing, and the final horizon
+// stays below twice the attempts the serial fold consumes. pfi_launch starts
+// at ShardPlan's generous default instead, since each of its rounds respawns
+// (and retrains) every worker process.
 //
 // Stratified campaigns shard by STRATUM instead: in fixed-budget mode every
 // scheduling decision for a stratum is a pure function of that stratum's
@@ -63,10 +68,12 @@ struct ShardPlan {
   std::int64_t shards = 1;       ///< total shard count S
   std::int64_t shard_index = 0;  ///< this shard's index k in [0, S)
   /// Uniform campaigns: global attempts in [0, horizon) are covered this
-  /// round (shard k computes those congruent to k mod S). 0 = auto
-  /// (4 x trials, clamped to the attempt cap). Deliberately NOT part of the
-  /// shard fingerprint: extending the horizon resumes the same checkpoint.
-  /// Ignored by stratified campaigns.
+  /// round (shard k computes those congruent to k mod S). 0 = the
+  /// standalone default, max(16, 4 x trials) clamped to the attempt cap —
+  /// generous so a multi-process round rarely needs a second one; the
+  /// in-process driver always passes an explicit, minimal horizon instead.
+  /// Deliberately NOT part of the shard fingerprint: extending the horizon
+  /// resumes the same checkpoint. Ignored by stratified campaigns.
   std::int64_t horizon = 0;
   /// Record every rep's injection events in the shard log so the merge can
   /// emit the campaign's trace stream. Off = counters only (smaller logs).
@@ -179,7 +186,8 @@ ShardMerge merge_shards(const std::vector<std::string>& manifest_paths,
 /// In-process drivers (tests, benches, single-machine convenience): run all
 /// S shards sequentially on this process's injector, extend the horizon and
 /// resume as needed, and merge. Semantically identical to pfi_launch with S
-/// worker processes.
+/// worker processes. The uniform driver starts at the minimal horizon and
+/// doubles it on ShardHorizonExhausted (see the file comment).
 CampaignResult run_sharded_classification(FaultInjector& fi,
                                           const data::SyntheticDataset& ds,
                                           const CampaignConfig& config,

@@ -10,10 +10,13 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/campaign.hpp"
@@ -188,8 +191,11 @@ struct Reference {
 };
 
 std::string csv_bytes(const CampaignResult& r) {
+  // The pid keeps test processes that ctest runs in parallel apart.
   static int n = 0;
-  const std::string path = "/tmp/pfi_shard_csv_" + std::to_string(n++);
+  const std::string path = "/tmp/pfi_shard_csv_" +
+                           std::to_string(::getpid()) + "_" +
+                           std::to_string(n++);
   write_campaign_csv(path, {{"tiny", r}});
   std::string text = util::read_file(path);
   std::remove(path.c_str());
@@ -305,6 +311,61 @@ TEST(ShardManifestTest, RejectsMalformedJson) {
   EXPECT_THROW(shard_manifest_from_json("not json at all"), Error);
 }
 
+/// A valid uniform manifest whose `key` value is replaced verbatim.
+std::string manifest_with(const std::string& key, const std::string& value) {
+  ShardManifest m;
+  m.kind = "classification";
+  m.log = "x.log";
+  const std::string text = shard_manifest_to_json(m);
+  const std::string k = "\"" + key + "\":";
+  const std::size_t at = text.find(k) + k.size();
+  return text.substr(0, at) + value + text.substr(text.find(',', at));
+}
+
+TEST(ShardManifestTest, RejectsOverflowingNumbersNamingTheField) {
+  // Out-of-range values must be refused, never wrapped: 2^64 + 1 would
+  // otherwise read back as shards=1, a plausible and wrong shard count.
+  expect_refusal(
+      [] {
+        shard_manifest_from_json(
+            manifest_with("records", "123456789012345678901"));
+      },
+      "'records' overflows");
+  expect_refusal(
+      [] {
+        shard_manifest_from_json(
+            manifest_with("shards", "18446744073709551617"));
+      },
+      "'shards' overflows");
+  expect_refusal(
+      [] {
+        shard_manifest_from_json(
+            manifest_with("horizon", "-9223372036854775809"));
+      },
+      "'horizon' overflows");
+  expect_refusal(
+      [] {
+        shard_manifest_from_json(
+            manifest_with("attempt_cap", "9223372036854775808"));
+      },
+      "'attempt_cap' overflows");
+}
+
+TEST(ShardManifestTest, AcceptsTheExactIntegerExtremes) {
+  EXPECT_EQ(shard_manifest_from_json(
+                manifest_with("records", "18446744073709551615"))
+                .records,
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(shard_manifest_from_json(
+                manifest_with("horizon", "-9223372036854775808"))
+                .horizon,
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(shard_manifest_from_json(
+                manifest_with("attempt_cap", "9223372036854775807"))
+                .attempt_cap,
+            std::numeric_limits<std::int64_t>::max());
+}
+
 // ------------------------------------------------ uniform equivalence ----
 
 TEST(ShardEquivalence, UniformMergedMatchesSingleProcessAtAnyShardCount) {
@@ -408,6 +469,104 @@ TEST(ShardEquivalence, UniformAttemptCapGivesUpIdentically) {
   const CampaignResult merged =
       run_sharded_classification(fi, fx.ds, cfg, 3, dir.path);
   EXPECT_TRUE(same_bits(merged, single));
+}
+
+// ------------------------------------------------ driver start horizon ----
+
+/// The in-process driver's first horizon (below the attempt cap): the
+/// fewest attempts that could reach the trial target.
+std::int64_t start_horizon(const CampaignConfig& cfg) {
+  const std::int64_t yield = cfg.batch_size * cfg.injections_per_image;
+  return (cfg.trials + yield - 1) / yield;
+}
+
+/// Attempts the unsharded fold consumed. With batch_size 1 every attempt
+/// either skips its one image or yields injections_per_image trials (the
+/// last one possibly fewer).
+std::uint64_t serial_attempts(const CampaignResult& r,
+                              const CampaignConfig& cfg) {
+  const auto per = static_cast<std::uint64_t>(cfg.injections_per_image);
+  return r.skipped + (r.trials + per - 1) / per;
+}
+
+/// Run the driver at 1, 2, 3 and 7 shards against the unsharded run of the
+/// same model and config: merged counts, CSV and trace JSONL must match byte
+/// for byte, and the shards together may record at most twice the attempts
+/// the serial fold consumed. Returns the unsharded result and the smallest
+/// final horizon any shard count ended at.
+std::pair<CampaignResult, std::int64_t> expect_driver_matches_serial(
+    const std::shared_ptr<nn::Sequential>& model, const CampaignConfig& cfg,
+    const std::string& name) {
+  const TinyFixture& fx = tiny();
+  Reference ref;
+  {
+    FaultInjector fi(model, tiny_fi_config());
+    trace::TraceSink sink(false);
+    CampaignConfig rcfg = cfg;
+    rcfg.trace = &sink;
+    ref.result = run_classification_campaign(fi, fx.ds, rcfg);
+    ref.jsonl = trace::trace_to_jsonl(sink.take_events());
+    ref.csv = csv_bytes(ref.result);
+  }
+  const std::uint64_t attempts = serial_attempts(ref.result, cfg);
+  std::int64_t min_horizon = std::numeric_limits<std::int64_t>::max();
+  for (const std::int64_t shards : {1, 2, 3, 7}) {
+    const std::string tag = name + " shards=" + std::to_string(shards);
+    FaultInjector fi(model, tiny_fi_config());
+    ShardDir dir("/tmp/pfi_shard_h_" + name + std::to_string(shards));
+    trace::TraceSink sink(false);
+    const CampaignResult merged =
+        run_sharded_classification(fi, fx.ds, cfg, shards, dir.path, &sink);
+    EXPECT_TRUE(same_bits(merged, ref.result)) << tag;
+    EXPECT_EQ(merged.gave_up, ref.result.gave_up) << tag;
+    EXPECT_EQ(trace::trace_to_jsonl(sink.take_events()), ref.jsonl) << tag;
+    EXPECT_EQ(csv_bytes(merged), ref.csv) << tag;
+
+    std::uint64_t records = 0;
+    for (const std::string& path : dir.manifests(shards)) {
+      const ShardManifest m = read_shard_manifest(path);
+      records += m.records;
+      min_horizon = std::min(min_horizon, m.horizon);
+    }
+    EXPECT_LE(records, 2 * attempts) << tag << " serial attempts=" << attempts;
+  }
+  return {ref.result, min_horizon};
+}
+
+TEST(ShardStartHorizon, WellClassifiedCampaignNeedsOneRound) {
+  // Every golden run is correct, so the minimal horizon is exactly enough.
+  const CampaignConfig cfg = uniform_config();
+  const auto [ref, horizon] =
+      expect_driver_matches_serial(tiny().model, cfg, "ok");
+  EXPECT_EQ(ref.skipped, 0u);
+  EXPECT_EQ(horizon, start_horizon(cfg));
+}
+
+TEST(ShardStartHorizon, MisclassifyingModelExtendsAndStillMatches) {
+  // An untrained model gets some golden runs wrong: those attempts yield
+  // no trials, the start horizon runs dry, and the driver must double and
+  // resume — every shard count still merges to the serial bytes.
+  auto untrained = tiny_model();
+  untrained->eval();
+  const CampaignConfig cfg = uniform_config();
+  const auto [ref, horizon] =
+      expect_driver_matches_serial(untrained, cfg, "miss");
+  EXPECT_GT(ref.skipped, 0u);
+  EXPECT_EQ(ref.gave_up, 0u);
+  EXPECT_GT(horizon, start_horizon(cfg))
+      << "the start horizon was never exhausted — no multi-round coverage";
+}
+
+TEST(ShardStartHorizon, AttemptCapBelowStartHorizonGivesUpIdentically) {
+  CampaignConfig cfg = uniform_config(1, /*trials=*/1000);
+  cfg.attempt_cap = 5;
+  ASSERT_LT(cfg.attempt_cap, start_horizon(cfg));
+  auto untrained = tiny_model();
+  untrained->eval();
+  const auto [ref, horizon] =
+      expect_driver_matches_serial(untrained, cfg, "cap");
+  EXPECT_EQ(ref.gave_up, 1u);
+  EXPECT_EQ(horizon, cfg.attempt_cap);
 }
 
 // ---------------------------------------------- stratified equivalence ----
