@@ -8,16 +8,35 @@
 #include "core/campaign_internal.hpp"
 #include "core/checkpoint.hpp"
 #include "nn/loss.hpp"
-#include "util/thread_pool.hpp"
 
 namespace pfi::core {
 
 namespace detail {
 
-AttemptOutcome run_campaign_attempt(FaultInjector& fi,
-                                    const data::SyntheticDataset& ds,
-                                    const CampaignConfig& config,
-                                    std::int64_t attempt) {
+void check_campaign_config(const FaultInjector& fi,
+                           const CampaignConfig& config, bool stratified) {
+  const char* what = stratified ? "stratified campaign" : "campaign";
+  PFI_CHECK(config.trials > 0) << what << " trials=" << config.trials;
+  PFI_CHECK(stratified || config.error_model.apply != nullptr)
+      << what << " error model is unset";
+  PFI_CHECK(config.batch_size >= 1 &&
+            config.batch_size <= fi.config().batch_size)
+      << what << " batch_size " << config.batch_size
+      << " exceeds injector batch size " << fi.config().batch_size;
+  PFI_CHECK(config.injections_per_image >= 1)
+      << what << " injections_per_image " << config.injections_per_image;
+  PFI_CHECK(config.threads >= 0) << what << " threads=" << config.threads;
+  PFI_CHECK(config.attempt_cap >= 0)
+      << what << " attempt_cap=" << config.attempt_cap;
+  PFI_CHECK(!(stratified && config.one_fault_per_layer))
+      << "stratified campaigns sample one fault per trial; "
+         "one_fault_per_layer is the uniform runner's mode";
+}
+
+UnitOutcome run_campaign_attempt(FaultInjector& fi,
+                                 const data::SyntheticDataset& ds,
+                                 const CampaignConfig& config,
+                                 std::int64_t attempt) {
   const auto a = static_cast<std::uint64_t>(attempt);
   Rng rng(derive_seed(config.seed, a, kDrawStream));
   fi.reseed(derive_seed(config.seed, a, kInjectorStream));
@@ -28,7 +47,7 @@ AttemptOutcome run_campaign_attempt(FaultInjector& fi,
   trace::TraceSink local(tracing && config.trace->capture_logits());
   ScopedSink sink_guard(fi, tracing ? &local : fi.trace_sink());
 
-  AttemptOutcome out;
+  UnitOutcome out;
   const auto batch = ds.sample_batch(config.batch_size, rng);
 
   // Golden run (dtype emulation still active; faults are not), recorded as
@@ -75,7 +94,7 @@ AttemptOutcome run_campaign_attempt(FaultInjector& fi,
     fi.clear();
 
     const RepScorer scorer(golden_top1, faulty, config.criterion);
-    AttemptOutcome::Rep r;
+    UnitOutcome::Rep r;
     r.non_finite = scorer.faulty_non_finite;
     if (tracing) {
       r.attempt = a;
@@ -93,7 +112,7 @@ AttemptOutcome run_campaign_attempt(FaultInjector& fi,
   return out;
 }
 
-bool merge_campaign_attempt(CampaignResult& acc, AttemptOutcome& outcome,
+bool merge_campaign_attempt(CampaignResult& acc, UnitOutcome& outcome,
                             std::uint64_t target, trace::TraceSink* sink) {
   acc.skipped += outcome.skipped;
   for (auto& rep : outcome.reps) {
@@ -127,9 +146,8 @@ std::int64_t campaign_attempt_cap(const CampaignConfig& config) {
 
 namespace {
 
-using detail::AttemptOutcome;
 using detail::campaign_attempt_cap;
-using detail::has_non_finite;
+using detail::index_wave;
 using detail::kDrawStream;
 using detail::kInjectorStream;
 using detail::kSerialCommitEvery;
@@ -137,7 +155,9 @@ using detail::merge_campaign_attempt;
 using detail::RepScorer;
 using detail::resolve_threads;
 using detail::run_campaign_attempt;
+using detail::run_ordered_units;
 using detail::ScopedSink;
+using detail::UnitOutcome;
 using detail::WaveCommitter;
 using detail::WorkerSet;
 
@@ -146,18 +166,7 @@ using detail::WorkerSet;
 CampaignResult run_classification_campaign(FaultInjector& fi,
                                            const data::SyntheticDataset& ds,
                                            const CampaignConfig& config) {
-  PFI_CHECK(config.trials > 0) << "campaign trials=" << config.trials;
-  PFI_CHECK(config.error_model.apply != nullptr)
-      << "campaign error model is unset";
-  PFI_CHECK(config.batch_size >= 1 &&
-            config.batch_size <= fi.config().batch_size)
-      << "campaign batch_size " << config.batch_size
-      << " exceeds injector batch size " << fi.config().batch_size;
-  PFI_CHECK(config.injections_per_image >= 1)
-      << "campaign injections_per_image " << config.injections_per_image;
-  PFI_CHECK(config.threads >= 0) << "campaign threads=" << config.threads;
-  PFI_CHECK(config.attempt_cap >= 0)
-      << "campaign attempt_cap=" << config.attempt_cap;
+  detail::check_campaign_config(fi, config);
 
   fi.model().eval();
   const auto target = static_cast<std::uint64_t>(config.trials);
@@ -181,70 +190,45 @@ CampaignResult run_classification_campaign(FaultInjector& fi,
   }
   WaveCommitter committer(config.checkpoint, config.trace);
 
-  if (threads == 1) {
-    std::int64_t since_commit = 0;
-    bool done = result.trials >= target;
-    while (!done) {
-      AttemptOutcome outcome = run_campaign_attempt(fi, ds, config, next_attempt);
-      done = merge_campaign_attempt(result, outcome, target, config.trace);
-      ++next_attempt;
-      ++since_commit;
-      if (!done && next_attempt >= cap) {
-        result.gave_up = 1;
-        done = true;
-      }
-      if (done || since_commit >= kSerialCommitEvery) {
-        committer.commit(result, static_cast<std::uint64_t>(next_attempt),
-                         done);
-        since_commit = 0;
-      }
-    }
-    return result;
-  }
-
   WorkerSet set(fi, threads);
-  util::ThreadPool pool(static_cast<std::size_t>(threads));
-  bool done = result.trials >= target;
-  while (!done) {
-    // Size the wave from the observed trial yield per attempt (first wave:
-    // assume the maximum, so we under- rather than over-commit).
-    const std::uint64_t remaining = target - result.trials;
-    const double yield =
-        next_attempt > 0
-            ? std::max(0.25, static_cast<double>(result.trials) /
-                                 static_cast<double>(next_attempt))
-            : static_cast<double>(max_yield);
-    const auto estimate = static_cast<std::int64_t>(
-        std::ceil(static_cast<double>(remaining) / yield));
-    // Cap waves at 8 attempts per worker: attempts past the trial target are
-    // computed but discarded, so a huge final wave is pure waste, while the
-    // per-wave barrier costs only microseconds.
-    const std::int64_t wave =
-        std::clamp<std::int64_t>(((estimate + threads - 1) / threads) * threads,
-                                 threads, threads * 8);
-
-    std::vector<AttemptOutcome> outcomes(static_cast<std::size_t>(wave));
-    const std::int64_t base = next_attempt;
-    pool.run(static_cast<std::size_t>(threads), [&](std::size_t g) {
-      // Worker g owns replica g and the wave's attempts congruent to g, so
-      // no injector is touched by two tasks.
-      for (std::int64_t i = static_cast<std::int64_t>(g); i < wave;
-           i += threads) {
-        outcomes[static_cast<std::size_t>(i)] =
-            run_campaign_attempt(*set.workers[g], ds, config, base + i);
-      }
-    });
-    for (std::int64_t i = 0; i < wave && !done; ++i) {
-      done = merge_campaign_attempt(result, outcomes[static_cast<std::size_t>(i)],
-                           target, config.trace);
-    }
-    next_attempt += wave;
-    if (!done && next_attempt >= cap) {
-      result.gave_up = 1;
-      done = true;
-    }
-    committer.commit(result, static_cast<std::uint64_t>(next_attempt), done);
-  }
+  run_ordered_units(
+      set,
+      [&] {
+        if (result.trials >= target) return index_wave(0, 0);
+        std::int64_t wave = kSerialCommitEvery;
+        if (threads > 1) {
+          // Size the wave from the observed trial yield per attempt (first
+          // wave: assume the maximum, so we under- rather than
+          // over-commit).
+          const std::uint64_t remaining = target - result.trials;
+          const double yield =
+              next_attempt > 0
+                  ? std::max(0.25, static_cast<double>(result.trials) /
+                                       static_cast<double>(next_attempt))
+                  : static_cast<double>(max_yield);
+          const auto estimate = static_cast<std::int64_t>(
+              std::ceil(static_cast<double>(remaining) / yield));
+          // Cap waves at 8 attempts per worker: attempts past the trial
+          // target are computed but discarded, so a huge final wave is pure
+          // waste, while the per-wave barrier costs only microseconds.
+          wave = std::clamp<std::int64_t>(
+              ((estimate + threads - 1) / threads) * threads, threads,
+              threads * 8);
+        }
+        return index_wave(next_attempt, std::min(wave, cap - next_attempt));
+      },
+      [&](std::size_t g, std::int64_t a) {
+        return run_campaign_attempt(set[g], ds, config, a);
+      },
+      [&](std::int64_t a, UnitOutcome& out) {
+        next_attempt = a + 1;
+        return merge_campaign_attempt(result, out, target, config.trace);
+      },
+      [&](bool reached) {
+        if (!reached && next_attempt >= cap) result.gave_up = 1;
+        committer.commit(result, static_cast<std::uint64_t>(next_attempt),
+                         reached || result.gave_up != 0);
+      });
   return result;
 }
 
@@ -332,68 +316,44 @@ CampaignResult run_weight_campaign(FaultInjector& fi,
     }
   }
   WaveCommitter committer(config.checkpoint, config.trace);
-  auto merge_fault = [&](FaultOutcome& out, std::int64_t f) {
-    result.trials += out.counts.trials;
-    result.skipped += out.counts.skipped;
-    result.corruptions += out.counts.corruptions;
-    result.non_finite += out.counts.non_finite;
-    if (tracing) {
-      for (trace::InjectionEvent& ev : out.events) {
-        ev.trial = static_cast<std::uint64_t>(f);
-      }
-      config.trace->append(std::move(out.events));
-      if (config.trace->capture_logits() && out.logits.defined()) {
-        config.trace->append_logits(
-            {static_cast<std::uint64_t>(f), 0, std::move(out.logits)});
-      }
-    }
-  };
 
   const std::int64_t threads =
       resolve_threads(config.threads,
                       std::max<std::int64_t>(1, config.faults / 4));
-  if (threads == 1) {
-    std::int64_t since_commit = 0;
-    while (next_fault < config.faults) {
-      FaultOutcome out = run_fault(fi, next_fault);
-      merge_fault(out, next_fault);
-      ++next_fault;
-      ++since_commit;
-      const bool done = next_fault >= config.faults;
-      if (config.checkpoint != nullptr &&
-          (done || since_commit >= kSerialCommitEvery)) {
-        committer.commit(result, static_cast<std::uint64_t>(next_fault), done);
-        since_commit = 0;
-      }
-    }
-    return result;
-  }
-
   WorkerSet set(fi, threads);
-  util::ThreadPool pool(static_cast<std::size_t>(threads));
-  // Faults run in waves of 8 per worker (like the classification runner):
-  // per-fault outcomes are pure functions of the fault index, so the wave
+  // Per-fault outcomes are pure functions of the fault index, so the wave
   // partition changes nothing about the merged result — it only bounds the
   // outcome buffer and gives the checkpointer its commit points.
-  while (next_fault < config.faults) {
-    const std::int64_t wave =
-        std::min<std::int64_t>(threads * 8, config.faults - next_fault);
-    std::vector<FaultOutcome> outcomes(static_cast<std::size_t>(wave));
-    const std::int64_t base = next_fault;
-    pool.run(static_cast<std::size_t>(threads), [&](std::size_t g) {
-      for (std::int64_t i = static_cast<std::int64_t>(g); i < wave;
-           i += threads) {
-        outcomes[static_cast<std::size_t>(i)] =
-            run_fault(*set.workers[g], base + i);
-      }
-    });
-    for (std::int64_t i = 0; i < wave; ++i) {
-      merge_fault(outcomes[static_cast<std::size_t>(i)], base + i);
-    }
-    next_fault += wave;
-    committer.commit(result, static_cast<std::uint64_t>(next_fault),
-                     next_fault >= config.faults);
-  }
+  const std::int64_t wave = threads == 1 ? kSerialCommitEvery : threads * 8;
+  run_ordered_units(
+      set,
+      [&] {
+        return index_wave(next_fault,
+                          std::min(wave, config.faults - next_fault));
+      },
+      [&](std::size_t g, std::int64_t f) {
+        return run_fault(set[g], f);
+      },
+      [&](std::int64_t f, FaultOutcome& out) {
+        const auto fu = static_cast<std::uint64_t>(f);
+        result.trials += out.counts.trials;
+        result.skipped += out.counts.skipped;
+        result.corruptions += out.counts.corruptions;
+        result.non_finite += out.counts.non_finite;
+        if (tracing) {
+          for (trace::InjectionEvent& ev : out.events) ev.trial = fu;
+          config.trace->append(std::move(out.events));
+          if (config.trace->capture_logits() && out.logits.defined()) {
+            config.trace->append_logits({fu, 0, std::move(out.logits)});
+          }
+        }
+        next_fault = f + 1;
+        return false;
+      },
+      [&](bool) {
+        committer.commit(result, static_cast<std::uint64_t>(next_fault),
+                         next_fault >= config.faults);
+      });
   return result;
 }
 
@@ -489,20 +449,20 @@ FleetResult run_fleet_campaign(FaultInjector& fi,
   // each event scores its corrupted serve against these.
   std::vector<std::vector<std::int64_t>> golden_top1(
       static_cast<std::size_t>(horizon));
-  {
-    util::ThreadPool pool(static_cast<std::size_t>(threads));
-    const std::int64_t base = next_event;
-    pool.run(static_cast<std::size_t>(threads), [&](std::size_t g) {
-      for (std::int64_t t = base + static_cast<std::int64_t>(g); t < horizon;
-           t += threads) {
-        const auto batch =
-            fleet_campaign_event_batch(ds, config,
-                                       static_cast<std::uint64_t>(t));
-        golden_top1[static_cast<std::size_t>(t)] =
-            nn::argmax_rows(set.workers[g]->forward(batch.images));
-      }
-    });
-  }
+  std::int64_t next_golden = next_event;
+  run_ordered_units(
+      set, [&] { return index_wave(next_golden, horizon - next_golden); },
+      [&](std::size_t g, std::int64_t t) {
+        const auto batch = fleet_campaign_event_batch(
+            ds, config, static_cast<std::uint64_t>(t));
+        return nn::argmax_rows(set[g].forward(batch.images));
+      },
+      [&](std::int64_t t, std::vector<std::int64_t>& top1) {
+        golden_top1[static_cast<std::size_t>(t)] = std::move(top1);
+        next_golden = t + 1;
+        return false;
+      },
+      [](bool) {});
 
   // Phase B — the corrupted timeline. Every worker owns a PersistentFaultSet
   // over its replica and advances it through EVERY event in order (fault
@@ -513,11 +473,11 @@ FleetResult run_fleet_campaign(FaultInjector& fi,
   std::vector<std::unique_ptr<PersistentFaultSet>> sets;
   for (std::int64_t g = 0; g < threads; ++g) {
     sets.push_back(std::make_unique<PersistentFaultSet>(
-        *set.workers[static_cast<std::size_t>(g)], config.scenario));
+        set[static_cast<std::size_t>(g)], config.scenario));
   }
 
   auto run_event = [&](std::size_t g, std::int64_t t) {
-    FaultInjector& worker = *set.workers[g];
+    FaultInjector& worker = set[g];
     PersistentFaultSet& faults = *sets[g];
     const auto tu = static_cast<std::uint64_t>(t);
     // Catch up silently (events other workers own — their fault records are
@@ -554,49 +514,42 @@ FleetResult run_fleet_campaign(FaultInjector& fi,
     return out;
   };
 
-  auto merge_event = [&](FleetEventOutcome& out) {
-    result.rows += out.ev.rows;
-    result.mismatches += out.ev.rows - out.ev.correct;
-    result.non_finite += out.ev.non_finite;
-    if (tracing) {
-      for (trace::InjectionEvent& ev : out.events) ev.trial = out.ev.event;
-      config.trace->append(std::move(out.events));
-      if (config.trace->capture_logits() && out.logits.defined()) {
-        config.trace->append_logits({out.ev.event, 0, std::move(out.logits)});
-      }
-    }
-    result.timeline.push_back(out.ev);
-  };
-
-  util::ThreadPool pool(static_cast<std::size_t>(threads));
-  while (next_event < horizon) {
-    // Waves of 8 events per worker, like the other runners: the partition
-    // changes nothing about the merged result, it only bounds the outcome
-    // buffer and gives the checkpointer its commit points.
-    const std::int64_t wave =
-        std::min<std::int64_t>(threads * 8, horizon - next_event);
-    std::vector<FleetEventOutcome> outcomes(static_cast<std::size_t>(wave));
-    const std::int64_t base = next_event;
-    pool.run(static_cast<std::size_t>(threads), [&](std::size_t g) {
-      for (std::int64_t i = static_cast<std::int64_t>(g); i < wave;
-           i += threads) {
-        outcomes[static_cast<std::size_t>(i)] = run_event(g, base + i);
-      }
-    });
-    for (std::int64_t i = 0; i < wave; ++i) {
-      merge_event(outcomes[static_cast<std::size_t>(i)]);
-    }
-    next_event += wave;
-    if (config.checkpoint != nullptr) {
-      CampaignResult folded;
-      folded.trials = result.rows;
-      folded.corruptions = result.mismatches;
-      folded.non_finite = result.non_finite;
-      committer.commit(folded, static_cast<std::uint64_t>(next_event),
-                       next_event >= horizon,
-                       fleet_timeline_to_strata(result.timeline));
-    }
-  }
+  // Waves of 8 events per worker: the partition changes nothing about the
+  // merged result, it only bounds the outcome buffer and gives the
+  // checkpointer its commit points.
+  run_ordered_units(
+      set,
+      [&] {
+        return index_wave(next_event,
+                          std::min(threads * 8, horizon - next_event));
+      },
+      run_event,
+      [&](std::int64_t t, FleetEventOutcome& out) {
+        result.rows += out.ev.rows;
+        result.mismatches += out.ev.rows - out.ev.correct;
+        result.non_finite += out.ev.non_finite;
+        if (tracing) {
+          for (trace::InjectionEvent& ev : out.events) ev.trial = out.ev.event;
+          config.trace->append(std::move(out.events));
+          if (config.trace->capture_logits() && out.logits.defined()) {
+            config.trace->append_logits(
+                {out.ev.event, 0, std::move(out.logits)});
+          }
+        }
+        result.timeline.push_back(out.ev);
+        next_event = t + 1;
+        return false;
+      },
+      [&](bool) {
+        if (config.checkpoint == nullptr) return;
+        CampaignResult folded;
+        folded.trials = result.rows;
+        folded.corruptions = result.mismatches;
+        folded.non_finite = result.non_finite;
+        committer.commit(folded, static_cast<std::uint64_t>(next_event),
+                         next_event >= horizon,
+                         fleet_timeline_to_strata(result.timeline));
+      });
   finalize();
   return result;
 }

@@ -1,13 +1,19 @@
-// Shared internals of the campaign runners (core/campaign.cpp and
-// core/sampling.cpp). Not part of the public API: everything here exists so
-// the uniform and stratified engines score, shard, trace, and checkpoint
-// attempts with IDENTICAL mechanics — the stratified estimator's claim to
-// measure the same quantity as the uniform sampler rests on that.
+// Shared internals of the campaign runners (core/campaign.cpp,
+// core/sampling.cpp, core/shard.cpp). Not part of the public API. Every
+// runner — uniform, weight, fleet, stratified, and both shard kinds — drives
+// the same executor, run_ordered_units(): plan a wave, fan it out over the
+// workers, fold the outcomes strictly in unit order, commit. The runners
+// differ only in what a unit is, how it folds, and what a commit persists,
+// so "identical at any thread count, after any kill/resume, across any shard
+// split" is one property of one loop rather than six.
 #pragma once
 
 #include <cmath>
 #include <memory>
+#include <optional>
+#include <ranges>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "core/campaign.hpp"
@@ -19,20 +25,24 @@
 namespace pfi::core::detail {
 
 /// Everything one attempt (batch draw + golden run + its injections)
-/// observed, in execution order. Kept per-rep so the merge can reproduce
-/// the sequential stopping rule exactly: a rep that would run after the
-/// trial target was reached is discarded whole, and scored rows past the
-/// target are discarded individually. Shard runs (core/shard.cpp) serialize
-/// these records verbatim and replay the same fold at merge time — that is
-/// what makes a merged shard set byte-identical to a single-process run.
-struct AttemptOutcome {
+/// observed, in execution order — an attempt of a uniform campaign or a
+/// stratum attempt of a stratified one. Kept per-rep so the merge can
+/// reproduce the sequential stopping rule exactly: a rep that would run
+/// after the trial target was reached is discarded whole, and scored rows
+/// past the target are discarded individually. Shard runs (core/shard.cpp)
+/// serialize these records verbatim and replay the same fold at merge time
+/// — that is what makes a merged shard set byte-identical to a
+/// single-process run.
+struct UnitOutcome {
   std::uint64_t skipped = 0;
   struct Rep {
     bool non_finite = false;
+    bool pruned = false;  // stratified only: masked, never executed
     std::vector<std::uint8_t> corrupted;  // per scored row, in score order
-    // Trace payload (only populated when the campaign is tracing): the
-    // rep's injection events and, optionally, its faulty logits. Kept on
-    // the rep so the ordered merge can discard them with it.
+    // Trace payload (only populated when a live run is tracing): the rep's
+    // attempt (a stratified unit's global sequence number) and index for
+    // its logits record, its injection events and, optionally, its faulty
+    // logits. Kept on the rep so the ordered merge can discard them with it.
     std::uint64_t attempt = 0;
     std::int32_t rep_index = 0;
     std::vector<trace::InjectionEvent> events;
@@ -41,14 +51,21 @@ struct AttemptOutcome {
   std::vector<Rep> reps;
 };
 
+/// Refuse a CampaignConfig the runners cannot execute on `fi`. Stratified
+/// campaigns impose their own error model and sample one fault per trial,
+/// so they skip the error-model check and refuse one_fault_per_layer.
+void check_campaign_config(const FaultInjector& fi,
+                           const CampaignConfig& config,
+                           bool stratified = false);
+
 /// One self-contained attempt. All randomness comes from seeds derived from
 /// (config.seed, attempt) — no shared RNG state — so the outcome is a pure
 /// function of the attempt index regardless of which worker (or which
 /// process) runs it.
-AttemptOutcome run_campaign_attempt(FaultInjector& fi,
-                                    const data::SyntheticDataset& ds,
-                                    const CampaignConfig& config,
-                                    std::int64_t attempt);
+UnitOutcome run_campaign_attempt(FaultInjector& fi,
+                                 const data::SyntheticDataset& ds,
+                                 const CampaignConfig& config,
+                                 std::int64_t attempt);
 
 /// Fold one attempt into the running result, honouring the trial target:
 /// reps after the target are dropped, and a rep's scored rows are consumed
@@ -56,7 +73,7 @@ AttemptOutcome run_campaign_attempt(FaultInjector& fi,
 /// attempts are merged strictly in index order, the folded result is the
 /// same whether the outcomes were computed serially, by a pool, or replayed
 /// from shard records.
-bool merge_campaign_attempt(CampaignResult& acc, AttemptOutcome& outcome,
+bool merge_campaign_attempt(CampaignResult& acc, UnitOutcome& outcome,
                             std::uint64_t target, trace::TraceSink* sink);
 
 /// Attempts are capped so a model that never classifies correctly stops
@@ -64,11 +81,12 @@ bool merge_campaign_attempt(CampaignResult& acc, AttemptOutcome& outcome,
 /// campaign returns its partial result with `gave_up` set.
 std::int64_t campaign_attempt_cap(const CampaignConfig& config);
 
-/// Commit interval for serial (threads == 1) paths, which have no natural
-/// wave barrier: checkpoint every this many folded units so fsync cost
-/// amortizes while a kill still loses only a few attempts. 32 matches the
-/// largest parallel wave (4 threads x 8 attempts) and keeps the measured
-/// overhead under 1% of campaign time (EXPERIMENTS.md).
+/// Wave size of single-worker classification and weight campaigns, which
+/// commit once per wave: fsync cost amortizes while a kill still loses only
+/// a few attempts. A single worker folds each unit as it finishes and stops
+/// at the one that reaches the target, so the wave size never adds work. 32
+/// matches the largest parallel wave (4 threads x 8 attempts) and keeps the
+/// measured overhead under 1% of campaign time (EXPERIMENTS.md).
 inline constexpr std::int64_t kSerialCommitEvery = 32;
 
 // Seed-derivation streams: every attempt gets one stream for data/location
@@ -145,15 +163,10 @@ class WaveCommitter {
     }
   }
 
-  void commit(const CampaignResult& folded, std::uint64_t next_unit,
-              bool done) {
-    if (ckpt_ == nullptr) return;
-    ckpt_->commit(folded, next_unit, done, fresh_events());
-  }
-
-  /// Stratified variant: also persists the per-stratum resume states.
+  /// `strata` holds the per-stratum resume states (empty for uniform
+  /// campaigns).
   void commit(const CampaignResult& folded, std::uint64_t next_unit, bool done,
-              std::span<const StratumCheckpoint> strata) {
+              std::span<const StratumCheckpoint> strata = {}) {
     if (ckpt_ == nullptr) return;
     ckpt_->commit(folded, next_unit, done, fresh_events(), strata);
   }
@@ -205,26 +218,77 @@ class ScopedSink {
 
 /// Worker replicas: index 0 is the caller's injector, the rest deep clones.
 struct WorkerSet {
-  std::vector<FaultInjector*> workers;
+  FaultInjector& primary;
   std::vector<std::unique_ptr<FaultInjector>> owned;
 
-  WorkerSet(FaultInjector& fi, std::int64_t threads) {
+  WorkerSet(FaultInjector& fi, std::int64_t threads) : primary(fi) {
     fi.clear();
-    workers.push_back(&fi);
-    for (std::int64_t t = 1; t < threads; ++t) {
-      owned.push_back(fi.replicate());
-      workers.push_back(owned.back().get());
-    }
+    for (std::int64_t t = 1; t < threads; ++t) owned.push_back(fi.replicate());
+  }
+
+  std::size_t size() const { return owned.size() + 1; }
+  FaultInjector& operator[](std::size_t g) const {
+    return g == 0 ? primary : *owned[g - 1];
   }
 
   /// Replicas die with the set; fold their prefix-cache counters into the
   /// caller's injector first so the campaign report shows whole-campaign
   /// hit rates regardless of thread count.
   ~WorkerSet() {
-    for (const auto& replica : owned) {
-      workers.front()->absorb_prefix_stats(*replica);
-    }
+    for (const auto& replica : owned) primary.absorb_prefix_stats(*replica);
   }
 };
+
+/// The wave of `n` consecutive unit indices starting at `first` (empty when
+/// n <= 0). A lazy range: planning a wave allocates nothing.
+inline auto index_wave(std::int64_t first, std::int64_t n) {
+  return std::views::iota(first, first + std::max<std::int64_t>(0, n));
+}
+
+/// The one campaign loop:
+///
+///   1. `plan()` returns the next wave of units (empty = finished);
+///   2. the wave fans out so worker g runs the units at wave positions
+///      congruent to g, as `run(g, unit)` on replica `set[g]` — no
+///      injector is touched by two tasks;
+///   3. `fold(unit, outcome)` consumes the outcomes strictly in wave order
+///      and returns true to stop — the units after it are discarded;
+///   4. `commit(stopped)` persists the folded state.
+///
+/// A single worker is just a wave with one worker: it runs the units inline
+/// and folds each as it finishes, so it computes nothing past the stop.
+/// Outcomes are pure functions of their units and fold in unit order, so
+/// the folded state is the same for every worker count. The caller owns the
+/// WorkerSet so per-replica state (the fleet's persistent faults) can die
+/// before the replicas do.
+template <typename Plan, typename Run, typename Fold, typename Commit>
+void run_ordered_units(const WorkerSet& set, Plan&& plan, Run&& run,
+                       Fold&& fold, Commit&& commit) {
+  const std::size_t workers = set.size();
+  std::optional<util::ThreadPool> pool;
+  if (workers > 1) pool.emplace(workers);
+  for (bool stopped = false; !stopped;) {
+    const auto wave = plan();
+    if (wave.empty()) return;
+    if (!pool) {
+      for (std::size_t i = 0; i < wave.size() && !stopped; ++i) {
+        auto outcome = run(std::size_t{0}, wave[i]);
+        stopped = fold(wave[i], outcome);
+      }
+    } else {
+      std::vector<std::decay_t<decltype(run(std::size_t{0}, wave[0]))>>
+          outcomes(wave.size());
+      pool->run(workers, [&](std::size_t g) {
+        for (std::size_t i = g; i < wave.size(); i += workers) {
+          outcomes[i] = run(g, wave[i]);
+        }
+      });
+      for (std::size_t i = 0; i < wave.size() && !stopped; ++i) {
+        stopped = fold(wave[i], outcomes[i]);
+      }
+    }
+    commit(stopped);
+  }
+}
 
 }  // namespace pfi::core::detail

@@ -72,8 +72,11 @@ struct CheckpointState {
   std::uint64_t version = kCheckpointVersion;
   std::uint64_t fingerprint = 0;  ///< campaign_fingerprint() of the config
   CampaignResult result;          ///< folded counters over units [0, next_unit)
-  /// First attempt (classification), weight-fault index (weight campaign),
-  /// or wave index (stratified campaign) not yet folded into `result`.
+  /// Where to resume: the first attempt (classification), weight-fault index
+  /// (weight campaign) or event index (fleet campaign) not yet folded into
+  /// `result` — one past the last folded unit, whatever the thread count;
+  /// the committed wave count (stratified campaign and stratified shard);
+  /// the committed record count (classification shard).
   std::uint64_t next_unit = 0;
   std::uint64_t trace_bytes = 0;  ///< committed size of the streaming JSONL
   std::uint64_t done = 0;         ///< 1 once the campaign finished (or gave up)

@@ -13,7 +13,6 @@
 #include "core/checkpoint.hpp"
 #include "core/sampling_internal.hpp"
 #include "nn/loss.hpp"
-#include "util/thread_pool.hpp"
 
 namespace pfi::core {
 
@@ -31,7 +30,7 @@ using detail::ScopedSink;
 using detail::StratifiedFold;
 using detail::StratifiedSchedule;
 using detail::StratUnit;
-using detail::StratUnitOutcome;
+using detail::UnitOutcome;
 using detail::WaveCommitter;
 using detail::WorkerSet;
 
@@ -160,20 +159,7 @@ std::vector<std::uint64_t> allocate_stratum_caps(
 StratifiedSchedule make_stratified_schedule(
     FaultInjector& fi, const StratifiedCampaignConfig& config) {
   const CampaignConfig& base = config.base;
-  PFI_CHECK(base.trials > 0) << "stratified campaign trials=" << base.trials;
-  PFI_CHECK(base.batch_size >= 1 && base.batch_size <= fi.config().batch_size)
-      << "stratified campaign batch_size " << base.batch_size
-      << " exceeds injector batch size " << fi.config().batch_size;
-  PFI_CHECK(base.injections_per_image >= 1)
-      << "stratified campaign injections_per_image "
-      << base.injections_per_image;
-  PFI_CHECK(base.threads >= 0)
-      << "stratified campaign threads=" << base.threads;
-  PFI_CHECK(base.attempt_cap >= 0)
-      << "stratified campaign attempt_cap=" << base.attempt_cap;
-  PFI_CHECK(!base.one_fault_per_layer)
-      << "stratified campaigns sample one fault per trial; "
-         "one_fault_per_layer is the uniform runner's mode";
+  check_campaign_config(fi, base, /*stratified=*/true);
   PFI_CHECK(config.target_half_width >= 0.0 && config.target_half_width < 1.0)
       << "target_half_width " << config.target_half_width
       << " must be in [0, 1)";
@@ -203,16 +189,14 @@ StratifiedSchedule make_stratified_schedule(
   return sched;
 }
 
-StratUnitOutcome run_stratum_attempt(FaultInjector& fi,
-                                     const data::SyntheticDataset& ds,
-                                     const StratifiedCampaignConfig& config,
-                                     const Stratum& st,
-                                     std::size_t stratum_index, bool prunable,
-                                     const StratUnit& unit) {
+UnitOutcome run_stratum_attempt(FaultInjector& fi,
+                                const data::SyntheticDataset& ds,
+                                const StratifiedCampaignConfig& config,
+                                const Stratum& st, bool prunable,
+                                const StratUnit& unit) {
   const CampaignConfig& base = config.base;
-  const std::uint64_t stratum_seed =
-      derive_seed(base.seed, static_cast<std::uint64_t>(stratum_index),
-                  kStratumStream);
+  const std::uint64_t stratum_seed = derive_seed(
+      base.seed, static_cast<std::uint64_t>(unit.stratum), kStratumStream);
   Rng rng(derive_seed(stratum_seed, unit.attempt, kDrawStream));
   fi.reseed(derive_seed(stratum_seed, unit.attempt, kInjectorStream));
 
@@ -220,7 +204,7 @@ StratUnitOutcome run_stratum_attempt(FaultInjector& fi,
   trace::TraceSink local(tracing && base.trace->capture_logits());
   ScopedSink sink_guard(fi, tracing ? &local : fi.trace_sink());
 
-  StratUnitOutcome out;
+  UnitOutcome out;
   const auto batch = ds.sample_batch(base.batch_size, rng);
 
   // Golden pass; the capture hook (when pruning applies) clones this
@@ -294,7 +278,7 @@ StratUnitOutcome run_stratum_attempt(FaultInjector& fi,
       }
     }
 
-    StratUnitOutcome::Rep r;
+    UnitOutcome::Rep r;
     r.pruned = masked;
     if (masked) {
       if (config.prune_verify) {
@@ -355,7 +339,7 @@ StratUnitOutcome run_stratum_attempt(FaultInjector& fi,
       }
       r.non_finite = golden_nf;
       if (tracing) {
-        r.seq = unit.seq;
+        r.attempt = unit.seq;
         r.rep_index = static_cast<std::int32_t>(rep);
         r.events = local.take_events();
         // The pruned injection's faulty logits ARE the golden logits.
@@ -374,7 +358,7 @@ StratUnitOutcome run_stratum_attempt(FaultInjector& fi,
       const RepScorer scorer(golden_top1, faulty, base.criterion);
       r.non_finite = scorer.faulty_non_finite;
       if (tracing) {
-        r.seq = unit.seq;
+        r.attempt = unit.seq;
         r.rep_index = static_cast<std::int32_t>(rep);
         r.events = local.take_events();
         if (local.capture_logits()) r.logits = faulty.clone();
@@ -489,19 +473,7 @@ std::vector<StratUnit> StratifiedFold::compose_wave(
   return units;
 }
 
-bool StratifiedFold::any_open(const std::vector<std::uint8_t>* owned) const {
-  std::uint64_t pooled_trials = 0;
-  for (const StratumCheckpoint& s : ck_) pooled_trials += s.trials;
-  const std::size_t s_pos = count_positive();
-  const bool global_met = pooled_target_met();
-  for (std::size_t s = 0; s < ck_.size(); ++s) {
-    if (owned != nullptr && (*owned)[s] == 0) continue;
-    if (open(s, pooled_trials, s_pos, global_met)) return true;
-  }
-  return false;
-}
-
-void StratifiedFold::merge_unit(const StratUnit& unit, StratUnitOutcome& out) {
+void StratifiedFold::merge_unit(const StratUnit& unit, UnitOutcome& out) {
   StratumCheckpoint& st = ck_[unit.stratum];
   st.skipped += out.skipped;
   ++st.attempts;
@@ -520,7 +492,7 @@ void StratifiedFold::merge_unit(const StratUnit& unit, StratUnitOutcome& out) {
       sink_->append(std::move(rep.events));
       if (sink_->capture_logits() && rep.logits.defined()) {
         sink_->append_logits(
-            {rep.seq, rep.rep_index, std::move(rep.logits)});
+            {rep.attempt, rep.rep_index, std::move(rep.logits)});
       }
     }
     for (const std::uint8_t corrupted : rep.corrupted) {
@@ -749,46 +721,23 @@ StratifiedResult run_stratified_campaign(FaultInjector& fi,
   const std::int64_t threads = detail::resolve_threads(
       base.threads, std::max<std::int64_t>(1, base.trials / 4));
   WorkerSet set(fi, threads);
-  std::optional<util::ThreadPool> pool;
-  if (threads > 1) pool.emplace(static_cast<std::size_t>(threads));
-
-  while (true) {
-    const std::vector<StratUnit> units = fold.compose_wave();
-    if (units.empty()) break;
-
-    std::vector<StratUnitOutcome> outcomes(units.size());
-    if (threads == 1) {
-      for (std::size_t i = 0; i < units.size(); ++i) {
-        const StratUnit& u = units[i];
-        outcomes[i] =
-            detail::run_stratum_attempt(fi, ds, config,
-                                        sched.strata[u.stratum], u.stratum,
-                                        prunable[u.stratum], u);
-      }
-    } else {
-      pool->run(static_cast<std::size_t>(threads), [&](std::size_t g) {
-        // Worker g owns replica g and the wave's units congruent to g, so
-        // no injector is touched by two tasks.
-        for (std::size_t i = g; i < units.size();
-             i += static_cast<std::size_t>(threads)) {
-          const StratUnit& u = units[i];
-          outcomes[i] =
-              detail::run_stratum_attempt(*set.workers[g], ds, config,
-                                          sched.strata[u.stratum], u.stratum,
-                                          prunable[u.stratum], u);
-        }
+  detail::run_ordered_units(
+      set, [&] { return fold.compose_wave(); },
+      [&](std::size_t g, const StratUnit& u) {
+        return detail::run_stratum_attempt(set[g], ds, config,
+                                           sched.strata[u.stratum],
+                                           prunable[u.stratum], u);
+      },
+      [&](const StratUnit& u, UnitOutcome& out) {
+        fold.merge_unit(u, out);
+        return false;
+      },
+      [&](bool) {
+        fold.refresh_flags();
+        ++wave_index;
+        committer.commit(fold.pooled(), wave_index, !fold.any_open(),
+                         fold.states());
       });
-    }
-    for (std::size_t i = 0; i < units.size(); ++i) {
-      fold.merge_unit(units[i], outcomes[i]);
-    }
-    fold.refresh_flags();
-    ++wave_index;
-
-    const bool done = !fold.any_open();
-    committer.commit(fold.pooled(), wave_index, done, fold.states());
-    if (done) break;
-  }
   return fold.assemble();
 }
 

@@ -39,22 +39,6 @@ struct StratUnit {
   std::uint64_t seq = 0;
 };
 
-/// Everything one unit observed, mirroring AttemptOutcome with a per-rep
-/// pruned marker.
-struct StratUnitOutcome {
-  std::uint64_t skipped = 0;
-  struct Rep {
-    bool non_finite = false;
-    bool pruned = false;
-    std::vector<std::uint8_t> corrupted;  // per scored row, in score order
-    std::uint64_t seq = 0;
-    std::int32_t rep_index = 0;
-    std::vector<trace::InjectionEvent> events;
-    Tensor logits;
-  };
-  std::vector<Rep> reps;
-};
-
 /// Largest-remainder allocation of the trial budget across strata by
 /// weight: caps sum to `trials` exactly, so a budget-mode campaign scores
 /// exactly `trials` trials (matching the uniform runner's contract). Ties
@@ -81,15 +65,15 @@ struct StratifiedSchedule {
 StratifiedSchedule make_stratified_schedule(
     FaultInjector& fi, const StratifiedCampaignConfig& config);
 
-/// Run one stratum attempt on one worker. All randomness derives from
-/// (config.seed, stratum index, attempt index) — never from which worker or
-/// process runs it — so the outcome is a pure function of the unit.
-StratUnitOutcome run_stratum_attempt(FaultInjector& fi,
-                                     const data::SyntheticDataset& ds,
-                                     const StratifiedCampaignConfig& config,
-                                     const Stratum& st,
-                                     std::size_t stratum_index, bool prunable,
-                                     const StratUnit& unit);
+/// Run one attempt of stratum `st` (index unit.stratum) on one worker. All
+/// randomness derives from (config.seed, stratum index, attempt index) —
+/// never from which worker or process runs it — so the outcome is a pure
+/// function of the unit.
+UnitOutcome run_stratum_attempt(FaultInjector& fi,
+                                const data::SyntheticDataset& ds,
+                                const StratifiedCampaignConfig& config,
+                                const Stratum& st, bool prunable,
+                                const StratUnit& unit);
 
 /// The deterministic scheduler + fold of a stratified campaign: owns the
 /// per-stratum counters, composes waves as a pure function of them, and
@@ -115,13 +99,15 @@ class StratifiedFold {
       const std::vector<std::uint8_t>* owned = nullptr) const;
 
   /// True while any (owned) stratum is still open.
-  bool any_open(const std::vector<std::uint8_t>* owned = nullptr) const;
+  bool any_open(const std::vector<std::uint8_t>* owned = nullptr) const {
+    return !compose_wave(owned).empty();
+  }
 
   /// Fold one unit, honouring the stratum's trial cap exactly as the
   /// uniform merge honours the campaign target. Merged strictly in unit
   /// order, so the folded state (and the trace stream) is identical however
   /// the units were computed.
-  void merge_unit(const StratUnit& unit, StratUnitOutcome& out);
+  void merge_unit(const StratUnit& unit, UnitOutcome& out);
 
   /// Recompute every stratum's flags from its frozen counters (call at wave
   /// boundaries; pure, so resume and re-evaluation always agree).

@@ -4,12 +4,17 @@
 // thread count (ISSUE: threads=1 vs threads=4, and run-to-run at threads=4).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <cstdio>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/campaign.hpp"
+#include "core/checkpoint.hpp"
 #include "core/fault_injector.hpp"
 #include "models/zoo.hpp"
 #include "util/thread_pool.hpp"
@@ -175,6 +180,53 @@ TEST(CampaignParallel, NeuronCampaignIdenticalForOneAndFourThreads) {
 
 TEST(CampaignParallel, NeuronCampaignStableRunToRun) {
   EXPECT_TRUE(same_result(run_neuron(4), run_neuron(4)));
+}
+
+TEST(CampaignParallel, AttemptCapGiveUpIdenticalAcrossThreadCounts) {
+  // An unreachable target under a tiny attempt cap: every thread count must
+  // fold exactly the attempts below the cap — never a wave past it — give
+  // up identically, and leave a final checkpoint whose next unit IS the cap.
+  constexpr std::int64_t kCap = 6;
+  CampaignResult serial;
+  for (const std::int64_t threads :
+       {std::int64_t{1}, std::int64_t{2}, std::int64_t{4}}) {
+    Rng rng(90);
+    data::SyntheticDataset ds(campaign_spec());
+    auto model = make_model("squeezenet", {.num_classes = 10}, rng);
+    FaultInjector fi(model, parallel_config());
+    CampaignConfig cfg;
+    cfg.trials = 1'000'000;
+    cfg.error_model = single_bit_flip();
+    cfg.seed = 91;
+    cfg.batch_size = 4;
+    cfg.injections_per_image = 2;
+    cfg.attempt_cap = kCap;
+    cfg.threads = threads;
+    // The pid keeps test processes that ctest runs in parallel apart.
+    const std::string path = "/tmp/pfi_cap_ckpt_" +
+                             std::to_string(::getpid()) + "_" +
+                             std::to_string(threads) + ".json";
+    CampaignCheckpointer ckpt(path);
+    ckpt.begin(campaign_fingerprint(cfg, "attempt-cap"));
+    cfg.checkpoint = &ckpt;
+    const CampaignResult r = run_classification_campaign(fi, ds, cfg);
+    std::remove(path.c_str());
+
+    EXPECT_EQ(r.gave_up, 1u) << "threads=" << threads;
+    EXPECT_TRUE(ckpt.done()) << "threads=" << threads;
+    EXPECT_EQ(ckpt.next_unit(), static_cast<std::uint64_t>(kCap))
+        << "threads=" << threads;
+    if (threads == 1) {
+      serial = r;
+      EXPECT_LT(serial.trials, 1'000'000u);
+    } else {
+      EXPECT_TRUE(same_result(serial, r))
+          << "threads=1 {" << serial.trials << "," << serial.skipped << ","
+          << serial.corruptions << "} vs threads=" << threads << " {"
+          << r.trials << "," << r.skipped << "," << r.corruptions << "}";
+      EXPECT_EQ(r.gave_up, serial.gave_up);
+    }
+  }
 }
 
 TEST(CampaignParallel, ThreadsZeroUsesHardwareConcurrency) {

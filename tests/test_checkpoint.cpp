@@ -208,12 +208,16 @@ TEST(Checkpointer, ResumeRefusesShrunkenTraceFile) {
 
 // ------------------------------------------------- kill-and-resume runs ----
 
-void kill_and_resume_case(std::int64_t threads) {
+/// Kill a `threads`-worker run after its first commit and resume it with
+/// `resume_threads` workers: thread count is not fingerprinted, so a resume
+/// may change it and must still land on the same bytes.
+void kill_and_resume_case(std::int64_t threads, std::int64_t resume_threads) {
   // Enough trials that the serial path crosses several 32-attempt commit
   // intervals (and the parallel path several waves) before finishing, so
   // the crash below genuinely lands mid-run, not on the final commit.
   constexpr std::int64_t kKillTrials = 48;
-  const std::string tag = "t" + std::to_string(threads);
+  const std::string tag =
+      "t" + std::to_string(threads) + "r" + std::to_string(resume_threads);
   TempFile ck_ref("/tmp/pfi_ckpt_ref_" + tag + ".json");
   TempFile tr_ref("/tmp/pfi_trace_ref_" + tag + ".jsonl");
   TempFile ck_crash("/tmp/pfi_ckpt_crash_" + tag + ".json");
@@ -247,8 +251,8 @@ void kill_and_resume_case(std::int64_t threads) {
   EXPECT_FALSE(resumed.done());
   EXPECT_LT(resumed.result().trials, ref_result.trials);
   trace::TraceSink resume_sink;
-  const CampaignResult resumed_result =
-      run_checkpointed(threads, &resumed, &resume_sink, 0, kKillTrials);
+  const CampaignResult resumed_result = run_checkpointed(
+      resume_threads, &resumed, &resume_sink, 0, kKillTrials);
 
   // The headline guarantee: counts, CSV, and trace bytes all identical.
   EXPECT_TRUE(same_bits(ref_result, resumed_result));
@@ -262,18 +266,24 @@ void kill_and_resume_case(std::int64_t threads) {
 }
 
 TEST(CheckpointResume, KillAndResumeByteIdenticalSerial) {
-  kill_and_resume_case(1);
+  kill_and_resume_case(1, 1);
 }
 
 TEST(CheckpointResume, KillAndResumeByteIdenticalFourThreads) {
-  kill_and_resume_case(4);
+  kill_and_resume_case(4, 4);
+}
+
+TEST(CheckpointResume, KillAtFourThreadsResumeAtOne) {
+  kill_and_resume_case(4, 1);
+}
+
+TEST(CheckpointResume, KillAtOneThreadResumeAtTwo) {
+  kill_and_resume_case(1, 2);
 }
 
 TEST(CheckpointResume, StreamedTraceIdenticalAcrossThreadCounts) {
   TempFile ck1("/tmp/pfi_ckpt_x1.json");
   TempFile tr1("/tmp/pfi_trace_x1.jsonl");
-  TempFile ck4("/tmp/pfi_ckpt_x4.json");
-  TempFile tr4("/tmp/pfi_trace_x4.jsonl");
   const std::uint64_t fp =
       campaign_fingerprint(neuron_config(1), "thread-invariance");
 
@@ -281,18 +291,48 @@ TEST(CheckpointResume, StreamedTraceIdenticalAcrossThreadCounts) {
   c1.begin(fp);
   trace::TraceSink s1;
   const auto r1 = run_checkpointed(1, &c1, &s1);
-
-  CampaignCheckpointer c4(ck4.path, tr4.path);
-  c4.begin(fp);
-  trace::TraceSink s4;
-  const auto r4 = run_checkpointed(4, &c4, &s4);
-
-  EXPECT_TRUE(same_bits(r1, r4));
   const std::string bytes = util::read_file(tr1.path);
   EXPECT_FALSE(bytes.empty());
-  EXPECT_EQ(bytes, util::read_file(tr4.path));
   // The streamed file is exactly the in-memory sink's JSONL.
   EXPECT_EQ(bytes, trace::trace_to_jsonl(s1.events()));
+
+  for (const std::int64_t threads : {std::int64_t{2}, std::int64_t{4}}) {
+    const std::string tag = std::to_string(threads);
+    TempFile ck("/tmp/pfi_ckpt_x" + tag + ".json");
+    TempFile tr("/tmp/pfi_trace_x" + tag + ".jsonl");
+    CampaignCheckpointer c(ck.path, tr.path);
+    c.begin(fp);
+    trace::TraceSink s;
+    const auto r = run_checkpointed(threads, &c, &s);
+
+    EXPECT_TRUE(same_bits(r1, r)) << "threads=" << threads;
+    EXPECT_EQ(bytes, util::read_file(tr.path)) << "threads=" << threads;
+    // The final checkpoint names one past the last folded attempt, not the
+    // end of the last wave, so it is byte-identical too.
+    EXPECT_EQ(util::read_file(ck1.path), util::read_file(ck.path))
+        << "threads=" << threads;
+  }
+}
+
+TEST(CheckpointResume, SingleWorkerComputesNothingPastTheStop) {
+  // One worker folds each attempt as it finishes and stops at the one that
+  // reaches the target: every attempt it ran (one golden pass each) is
+  // below the checkpoint's next unit, and none is past it.
+  TempFile ck("/tmp/pfi_ckpt_serial_stop.json");
+  Rng rng(90);
+  data::SyntheticDataset ds(data::cifar10_like());
+  auto model = make_model("squeezenet", {.num_classes = 10}, rng);
+  FaultInjector fi(model, {.input_shape = {3, 32, 32}, .batch_size = 4});
+  ASSERT_NE(fi.prefix_cache(), nullptr);
+  CampaignConfig cfg = neuron_config(1);
+  cfg.trials = 48;
+  CampaignCheckpointer ckpt(ck.path);
+  ckpt.begin(campaign_fingerprint(cfg, "serial-stop"));
+  cfg.checkpoint = &ckpt;
+  const CampaignResult r = run_classification_campaign(fi, ds, cfg);
+  EXPECT_EQ(r.trials, 48u);
+  EXPECT_TRUE(ckpt.done());
+  EXPECT_EQ(fi.prefix_cache()->stats().golden_records, ckpt.next_unit());
 }
 
 TEST(CheckpointResume, ResumeOfFinishedRunReturnsWithoutWork) {
@@ -386,7 +426,9 @@ CampaignResult run_weight_checkpointed(std::int64_t threads,
 }
 
 TEST(CheckpointResume, WeightCampaignKillAndResume) {
-  for (const std::int64_t threads : {std::int64_t{1}, std::int64_t{4}}) {
+  // (kill threads, resume threads): a resume may change the thread count.
+  for (const auto& [threads, resume_threads] :
+       {std::pair<std::int64_t, std::int64_t>{1, 1}, {4, 4}, {4, 1}, {1, 2}}) {
     TempFile ck_ref("/tmp/pfi_wckpt_ref.json");
     TempFile ck_crash("/tmp/pfi_wckpt_crash.json");
     WeightCampaignConfig fp_cfg;
@@ -409,8 +451,9 @@ TEST(CheckpointResume, WeightCampaignKillAndResume) {
     ASSERT_TRUE(resumed.resume(fp));
     EXPECT_GT(resumed.next_unit(), 0u);
     EXPECT_LT(resumed.next_unit(), static_cast<std::uint64_t>(kWeightFaults));
-    const auto recovered = run_weight_checkpointed(threads, &resumed);
-    EXPECT_TRUE(same_bits(full, recovered)) << "threads=" << threads;
+    const auto recovered = run_weight_checkpointed(resume_threads, &resumed);
+    EXPECT_TRUE(same_bits(full, recovered))
+        << "threads=" << threads << " resume_threads=" << resume_threads;
   }
 }
 
