@@ -101,9 +101,7 @@ void print_results(const core::CampaignResult& r, const Proportion& p,
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const core::CliParse parsed = core::parse_cli_args(argc, argv);
   if (parsed.show_help) {
     std::printf("%s", core::cli_usage().c_str());
@@ -503,4 +501,18 @@ int main(int argc, char** argv) {
                 profiler.table().c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A refusal — a malformed checkpoint or calibration file, a config the
+  // runners reject — exits with status 2 and its message, like pfi_merge
+  // and pfi_launch, instead of aborting.
+  try {
+    return run(argc, argv);
+  } catch (const Error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }

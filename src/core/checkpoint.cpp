@@ -3,7 +3,7 @@
 #include <sstream>
 
 #include "util/fileio.hpp"
-#include "util/parse.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace pfi::core {
@@ -19,69 +19,6 @@ std::string criterion_name(CorruptionCriterion c) {
     case CorruptionCriterion::kNonFiniteOutput: return "nonfinite";
   }
   PFI_CHECK(false) << "unreachable criterion";
-}
-
-/// Extract the integer after `"key":` in a single-line JSON object written
-/// by checkpoint_to_json (fixed keys, integer values only).
-std::uint64_t json_uint_field(const std::string& text, const char* key) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t at = text.find(needle);
-  PFI_CHECK(at != std::string::npos)
-      << "checkpoint is missing field '" << key << "': " << text;
-  std::size_t end = at + needle.size();
-  while (end < text.size() && text[end] != ',' && text[end] != '}') ++end;
-  const auto value =
-      util::parse_uint(text.substr(at + needle.size(), end - at - needle.size()));
-  PFI_CHECK(value.has_value())
-      << "checkpoint field '" << key << "' is not an integer: " << text;
-  return *value;
-}
-
-/// Parse the optional `"strata":[[u64 x 8],...]` array written by
-/// checkpoint_to_json for stratified campaigns. Absent field (every
-/// checkpoint written before stratified campaigns existed, and every uniform
-/// campaign's checkpoint still) parses as an empty vector.
-std::vector<StratumCheckpoint> json_strata_field(const std::string& text) {
-  std::vector<StratumCheckpoint> out;
-  const std::string needle = "\"strata\":[";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return out;
-  std::size_t pos = at + needle.size();
-  while (pos < text.size() && text[pos] != ']') {
-    if (text[pos] == ',') {
-      ++pos;
-      continue;
-    }
-    PFI_CHECK(text[pos] == '[')
-        << "checkpoint strata entry does not start with '[': " << text;
-    ++pos;
-    StratumCheckpoint s;
-    std::uint64_t* fields[] = {&s.trials,     &s.corruptions, &s.skipped,
-                               &s.non_finite, &s.pruned,      &s.executed,
-                               &s.attempts,   &s.flags};
-    for (std::size_t f = 0; f < 8; ++f) {
-      std::size_t end = pos;
-      while (end < text.size() && text[end] != ',' && text[end] != ']') ++end;
-      const auto value = util::parse_uint(text.substr(pos, end - pos));
-      PFI_CHECK(value.has_value())
-          << "checkpoint stratum field " << f << " is not an integer: "
-          << text;
-      *fields[f] = *value;
-      pos = end;
-      if (f < 7) {
-        PFI_CHECK(pos < text.size() && text[pos] == ',')
-            << "checkpoint stratum entry has fewer than 8 fields: " << text;
-        ++pos;
-      }
-    }
-    PFI_CHECK(pos < text.size() && text[pos] == ']')
-        << "checkpoint stratum entry has more than 8 fields: " << text;
-    ++pos;
-    out.push_back(s);
-  }
-  PFI_CHECK(pos < text.size()) << "checkpoint strata array is unterminated: "
-                               << text;
-  return out;
 }
 
 }  // namespace
@@ -116,22 +53,40 @@ std::string checkpoint_to_json(const CheckpointState& state) {
 }
 
 CheckpointState checkpoint_from_json(const std::string& text) {
+  util::JsonReader r(text, "checkpoint");
   CheckpointState state;
-  state.version = json_uint_field(text, "version");
-  PFI_CHECK(state.version == kCheckpointVersion)
-      << "checkpoint version " << state.version
-      << " is not supported (this build writes version " << kCheckpointVersion
-      << ")";
-  state.fingerprint = json_uint_field(text, "fingerprint");
-  state.result.trials = json_uint_field(text, "trials");
-  state.result.skipped = json_uint_field(text, "skipped");
-  state.result.corruptions = json_uint_field(text, "corruptions");
-  state.result.non_finite = json_uint_field(text, "non_finite");
-  state.result.gave_up = json_uint_field(text, "gave_up");
-  state.next_unit = json_uint_field(text, "next_unit");
-  state.trace_bytes = json_uint_field(text, "trace_bytes");
-  state.done = json_uint_field(text, "done");
-  state.strata = json_strata_field(text);
+  state.version = r.key("version").u64();
+  if (state.version != kCheckpointVersion) {
+    r.fail("is ", state.version, ", not a version this build reads (",
+           kCheckpointVersion, ")");
+  }
+  state.fingerprint = r.key("fingerprint").u64();
+  state.result.trials = r.key("trials").u64();
+  state.result.skipped = r.key("skipped").u64();
+  state.result.corruptions = r.key("corruptions").u64();
+  state.result.non_finite = r.key("non_finite").u64();
+  state.result.gave_up = r.key("gave_up").u64();
+  state.next_unit = r.key("next_unit").u64();
+  state.trace_bytes = r.key("trace_bytes").u64();
+  state.done = r.key("done").u64();
+  // Stratified campaigns append one [u64 x 8] entry per stratum; the writer
+  // omits the key for uniform campaigns, so it is never present but empty.
+  if (r.peek(',')) {
+    r.key("strata");
+    while (r.next_item()) {
+      StratumCheckpoint s;
+      std::uint64_t* fields[] = {&s.trials,     &s.corruptions, &s.skipped,
+                                 &s.non_finite, &s.pruned,      &s.executed,
+                                 &s.attempts,   &s.flags};
+      for (std::uint64_t* f : fields) {
+        *f = r.lit(f == fields[0] ? "[" : ",").u64();
+      }
+      r.lit("]");
+      state.strata.push_back(s);
+    }
+    if (state.strata.empty()) r.fail("is empty");
+  }
+  r.end("}\n");
   return state;
 }
 

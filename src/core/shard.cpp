@@ -10,6 +10,7 @@
 #include "core/checkpoint.hpp"
 #include "core/sampling_internal.hpp"
 #include "util/fileio.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace pfi::core {
@@ -24,97 +25,10 @@ using detail::UnitOutcome;
 /// fnv1a's offset basis — the digest of an empty log.
 constexpr std::uint64_t kFnvBasis = 14695981039346656037ull;
 
-// ---------------------------------------------------------------------------
-// Strict sequential scanners. Every byte of the log and manifest formats is
-// machine-generated by this file, so the parsers demand the exact grammar
-// and fail loudly on anything else — a torn or hand-edited line is a
-// refusal, never a silent misread.
-
-void expect(const std::string& s, std::size_t& i, std::string_view lit,
-            std::string_view what) {
-  PFI_CHECK(s.compare(i, lit.size(), lit) == 0)
-      << "malformed " << what << ": expected '" << lit << "' at offset " << i;
-  i += lit.size();
-}
-
-/// Scan the decimal value of `field`; a value past uint64 is refused, never
-/// wrapped.
-std::uint64_t scan_u64(const std::string& s, std::size_t& i,
-                       std::string_view what, std::string_view field) {
-  PFI_CHECK(i < s.size() && s[i] >= '0' && s[i] <= '9')
-      << "malformed " << what << ": expected a number for '" << field
-      << "' at offset " << i;
-  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
-  std::uint64_t v = 0;
-  while (i < s.size() && s[i] >= '0' && s[i] <= '9') {
-    const auto d = static_cast<std::uint64_t>(s[i] - '0');
-    PFI_CHECK(v <= (kMax - d) / 10)
-        << "malformed " << what << ": '" << field
-        << "' overflows 64 bits at offset " << i;
-    v = v * 10 + d;
-    ++i;
-  }
-  return v;
-}
-
-/// Signed analogue: accepts exactly [INT64_MIN, INT64_MAX].
-std::int64_t scan_i64(const std::string& s, std::size_t& i,
-                      std::string_view what, std::string_view field) {
-  const bool neg = i < s.size() && s[i] == '-';
-  if (neg) ++i;
-  const std::size_t start = i;
-  const std::uint64_t v = scan_u64(s, i, what, field);
-  const auto limit =
-      static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()) +
-      (neg ? 1 : 0);
-  PFI_CHECK(v <= limit) << "malformed " << what << ": '" << field
-                        << "' overflows int64 at offset " << start;
-  // Unsigned negation then a modular conversion: exact for INT64_MIN too.
-  return static_cast<std::int64_t>(neg ? 0 - v : v);
-}
-
-/// Scan a JSON string written with util::json_escape.
-std::string scan_string(const std::string& s, std::size_t& i,
-                        std::string_view what) {
-  expect(s, i, "\"", what);
-  const std::size_t start = i;
-  while (i < s.size() && s[i] != '"') {
-    i += s[i] == '\\' ? 2 : 1;
-  }
-  PFI_CHECK(i < s.size()) << "malformed " << what << ": unterminated string";
-  const std::string raw = s.substr(start, i - start);
-  ++i;  // closing quote
-  return util::json_unescape(raw);
-}
-
 std::string double_bits_hex(double v) {
   std::ostringstream os;
   os << "0x" << std::hex << std::bit_cast<std::uint64_t>(v);
   return os.str();
-}
-
-double scan_double_bits(const std::string& s, std::size_t& i,
-                        std::string_view what) {
-  expect(s, i, "\"0x", what);
-  std::uint64_t bits = 0;
-  bool any = false;
-  while (i < s.size()) {
-    const char c = s[i];
-    int d;
-    if (c >= '0' && c <= '9') {
-      d = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      d = c - 'a' + 10;
-    } else {
-      break;
-    }
-    bits = bits << 4 | static_cast<std::uint64_t>(d);
-    any = true;
-    ++i;
-  }
-  PFI_CHECK(any) << "malformed " << what << ": expected hex digits";
-  expect(s, i, "\"", what);
-  return std::bit_cast<double>(bits);
 }
 
 // ---------------------------------------------------------------------------
@@ -164,70 +78,44 @@ void append_record(std::string& log, int rec_kind, std::uint64_t stratum,
   }
 }
 
-/// Pull one '\n'-terminated line out of `text` at `pos`.
-std::string next_line(const std::string& text, std::size_t& pos,
-                      std::string_view what) {
-  const std::size_t nl = text.find('\n', pos);
-  PFI_CHECK(nl != std::string::npos)
-      << "malformed " << what << ": missing newline on the final line";
-  std::string line = text.substr(pos, nl - pos);
-  pos = nl + 1;
-  return line;
-}
-
 /// Parse a committed shard log prefix into records. `rec_kind` is 1 for
 /// uniform logs, 2 for stratified ones.
 std::vector<ParsedRecord> parse_shard_log(const std::string& text,
                                           int rec_kind,
                                           const std::string& what) {
   std::vector<ParsedRecord> out;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    const std::string line = next_line(text, pos, what);
-    std::size_t i = 0;
-    expect(line, i, "{\"rec\":", what);
-    const std::uint64_t kind = scan_u64(line, i, what, "rec");
-    PFI_CHECK(kind == static_cast<std::uint64_t>(rec_kind))
-        << what << " holds kind-" << kind << " records but this campaign "
-        << "expects kind-" << rec_kind
-        << " — the log belongs to a different campaign type";
-    ParsedRecord rec;
-    if (rec_kind == 2) {
-      expect(line, i, ",\"stratum\":", what);
-      rec.stratum = scan_u64(line, i, what, "stratum");
+  util::JsonReader r(text, what);
+  while (!r.at_end()) {
+    const std::uint64_t kind = r.key("rec").u64();
+    if (kind != static_cast<std::uint64_t>(rec_kind)) {
+      r.fail("is ", kind, " but this campaign expects kind-", rec_kind,
+             " records — the log belongs to a different campaign type");
     }
-    expect(line, i, ",\"attempt\":", what);
-    rec.attempt = scan_u64(line, i, what, "attempt");
-    expect(line, i, ",\"skipped\":", what);
-    rec.out.skipped = scan_u64(line, i, what, "skipped");
-    expect(line, i, ",\"reps\":[", what);
-    while (i < line.size() && line[i] != ']') {
-      if (line[i] == ',') ++i;
-      expect(line, i, "[", what);
+    ParsedRecord rec;
+    if (rec_kind == 2) rec.stratum = r.key("stratum").u64();
+    rec.attempt = r.key("attempt").u64();
+    rec.out.skipped = r.key("skipped").u64();
+    std::vector<std::uint64_t> n_events;
+    r.key("reps");
+    while (r.next_item()) {
       UnitOutcome::Rep rep;
-      rep.non_finite = scan_u64(line, i, what, "non_finite") != 0;
-      expect(line, i, ",", what);
-      if (rec_kind == 2) {
-        rep.pruned = scan_u64(line, i, what, "pruned") != 0;
-        expect(line, i, ",", what);
+      rep.non_finite = r.lit("[").i64(0, 1) != 0;
+      if (rec_kind == 2) rep.pruned = r.lit(",").i64(0, 1) != 0;
+      for (const char c : r.lit(",").str()) {
+        if (c != '0' && c != '1') r.fail("holds a row that is not 0 or 1");
+        rep.corrupted.push_back(c == '1' ? 1 : 0);
       }
-      expect(line, i, "\"", what);
-      while (i < line.size() && (line[i] == '0' || line[i] == '1')) {
-        rep.corrupted.push_back(line[i] == '1' ? 1 : 0);
-        ++i;
-      }
-      expect(line, i, "\",", what);
-      const std::uint64_t n_events = scan_u64(line, i, what, "events");
-      expect(line, i, "]", what);
-      for (std::uint64_t e = 0; e < n_events; ++e) {
-        rep.events.push_back(
-            trace::event_from_json(next_line(text, pos, what)));
-      }
+      n_events.push_back(r.lit(",").u64());
+      r.lit("]");
       rec.out.reps.push_back(std::move(rep));
     }
-    expect(line, i, "]}", what);
-    PFI_CHECK(i == line.size())
-        << "malformed " << what << ": trailing bytes after a record";
+    r.lit("}\n");
+    // The record line is followed by its reps' events, one line each.
+    for (std::size_t i = 0; i < n_events.size(); ++i) {
+      for (std::uint64_t e = 0; e < n_events[i]; ++e) {
+        rec.out.reps[i].events.push_back(trace::event_from_json(r.line()));
+      }
+    }
     out.push_back(std::move(rec));
   }
   return out;
@@ -343,66 +231,44 @@ std::string shard_manifest_to_json(const ShardManifest& m) {
 }
 
 ShardManifest shard_manifest_from_json(const std::string& text) {
-  const std::string_view what = "shard manifest";
-  std::size_t i = 0;
-  // `,"key":<number>` — the key names the field in any refusal.
-  const auto u64 = [&](std::string_view key) {
-    expect(text, i, ",\"" + std::string(key) + "\":", what);
-    return scan_u64(text, i, what, key);
-  };
-  const auto i64 = [&](std::string_view key) {
-    expect(text, i, ",\"" + std::string(key) + "\":", what);
-    return scan_i64(text, i, what, key);
-  };
+  util::JsonReader r(text, "shard manifest");
   ShardManifest m;
-  expect(text, i, "{\"version\":", what);
-  m.version = scan_u64(text, i, what, "version");
-  PFI_CHECK(m.version == kShardManifestVersion)
-      << "unsupported shard manifest version " << m.version
-      << " (this build reads version " << kShardManifestVersion << ")";
-  expect(text, i, ",\"kind\":", what);
-  m.kind = scan_string(text, i, what);
-  m.fingerprint = u64("fingerprint");
-  m.shards = i64("shards");
-  m.shard_index = i64("shard_index");
-  m.records = u64("records");
-  m.horizon = i64("horizon");
-  m.log_bytes = u64("log_bytes");
-  m.log_digest = u64("log_digest");
-  m.done = u64("done");
-  m.record_events = u64("record_events") != 0;
-  expect(text, i, ",\"log\":", what);
-  m.log = scan_string(text, i, what);
-  m.trials_target = u64("trials_target");
-  m.attempt_cap = i64("attempt_cap");
-  m.max_yield = i64("max_yield");
-  m.trials_budget = u64("trials_budget");
-  expect(text, i, ",\"strata\":[", what);
-  while (i < text.size() && text[i] != ']') {
-    if (text[i] == ',') ++i;
-    expect(text, i, "[", what);
+  m.version = r.key("version").u64();
+  if (m.version != kShardManifestVersion) {
+    r.fail("is ", m.version, ", an unsupported shard manifest version (this "
+           "build reads version ", kShardManifestVersion, ")");
+  }
+  m.kind = r.key("kind").str();
+  m.fingerprint = r.key("fingerprint").u64();
+  m.shards = r.key("shards").i64();
+  m.shard_index = r.key("shard_index").i64();
+  m.records = r.key("records").u64();
+  m.horizon = r.key("horizon").i64();
+  m.log_bytes = r.key("log_bytes").u64();
+  m.log_digest = r.key("log_digest").u64();
+  m.done = r.key("done").u64();
+  m.record_events = r.key("record_events").i64(0, 1) != 0;
+  m.log = r.key("log").str();
+  m.trials_target = r.key("trials_target").u64();
+  m.attempt_cap = r.key("attempt_cap").i64();
+  m.max_yield = r.key("max_yield").i64();
+  m.trials_budget = r.key("trials_budget").u64();
+  r.key("strata");
+  constexpr std::int64_t kIntMin = std::numeric_limits<int>::min();
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+  while (r.next_item()) {
     Stratum st;
-    st.layer = scan_i64(text, i, what, "strata.layer");
-    expect(text, i, ",", what);
-    st.bit_class =
-        static_cast<int>(scan_i64(text, i, what, "strata.bit_class"));
-    expect(text, i, ",", what);
-    st.bit_lo = static_cast<int>(scan_i64(text, i, what, "strata.bit_lo"));
-    expect(text, i, ",", what);
-    st.bit_hi = static_cast<int>(scan_i64(text, i, what, "strata.bit_hi"));
-    expect(text, i, ",", what);
-    st.weight = scan_double_bits(text, i, what);
-    expect(text, i, ",", what);
-    m.stratum_caps.push_back(scan_u64(text, i, what, "strata.cap"));
-    expect(text, i, ",", what);
-    m.stratum_attempt_caps.push_back(
-        scan_u64(text, i, what, "strata.attempt_cap"));
-    expect(text, i, "]", what);
+    st.layer = r.lit("[").i64();
+    st.bit_class = static_cast<int>(r.lit(",").i64(kIntMin, kIntMax));
+    st.bit_lo = static_cast<int>(r.lit(",").i64(kIntMin, kIntMax));
+    st.bit_hi = static_cast<int>(r.lit(",").i64(kIntMin, kIntMax));
+    st.weight = r.lit(",").f64_bits();
+    m.stratum_caps.push_back(r.lit(",").u64());
+    m.stratum_attempt_caps.push_back(r.lit(",").u64());
+    r.lit("]");
     m.strata.push_back(st);
   }
-  expect(text, i, "]}", what);
-  PFI_CHECK(i == text.size())
-      << "malformed " << what << ": trailing bytes after the manifest object";
+  r.end("}");
   return m;
 }
 

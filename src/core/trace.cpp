@@ -5,8 +5,11 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/cli.hpp"
 #include "core/fault_injector.hpp"
 #include "util/bits.hpp"
+#include "util/fileio.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace pfi::trace {
@@ -61,73 +64,6 @@ std::string json_number(float v) {
   return os.str();
 }
 
-/// Find `"key":` at object level and return the raw value text after it.
-/// Sufficient for the writer's own output (keys never appear inside our
-/// escaped strings as `"key":` because the colon ends the match).
-std::string raw_field(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  // Scan outside string literals so hostile layer names containing
-  // "key": text cannot shadow a real field.
-  bool in_string = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (in_string) {
-      if (c == '\\') ++i;
-      else if (c == '"') in_string = false;
-      continue;
-    }
-    if (c == '"') {
-      if (line.compare(i, needle.size(), needle) == 0) {
-        const std::size_t start = i + needle.size();
-        std::size_t end = start;
-        PFI_CHECK(start < line.size()) << "truncated value for key '" << key
-                                       << "' in: " << line;
-        if (line[start] == '"') {  // string value: scan to closing quote
-          ++end;
-          while (end < line.size() && line[end] != '"') {
-            if (line[end] == '\\') ++end;
-            ++end;
-          }
-          PFI_CHECK(end < line.size()) << "unterminated string for key '"
-                                       << key << "' in: " << line;
-          return line.substr(start, end - start + 1);
-        }
-        if (line[start] == '[') {  // array value: scan to the closing bracket
-          while (end < line.size() && line[end] != ']') ++end;
-          PFI_CHECK(end < line.size()) << "unterminated array for key '"
-                                       << key << "' in: " << line;
-          return line.substr(start, end - start + 1);
-        }
-        while (end < line.size() && line[end] != ',' && line[end] != '}') {
-          ++end;
-        }
-        return line.substr(start, end - start);
-      }
-      in_string = true;
-    }
-  }
-  PFI_CHECK(false) << "key '" << key << "' not found in trace line: " << line;
-}
-
-std::string string_field(const std::string& line, const std::string& key) {
-  const std::string raw = raw_field(line, key);
-  PFI_CHECK(raw.size() >= 2 && raw.front() == '"' && raw.back() == '"')
-      << "key '" << key << "' is not a string in: " << line;
-  return util::json_unescape(raw.substr(1, raw.size() - 2));
-}
-
-std::int64_t int_field(const std::string& line, const std::string& key) {
-  return std::stoll(raw_field(line, key));
-}
-
-core::DType dtype_from_name(const std::string& name) {
-  if (name == "fp32") return core::DType::kFloat32;
-  if (name == "fp16") return core::DType::kFloat16;
-  if (name == "int8") return core::DType::kInt8;
-  if (name == "bf16") return core::DType::kBFloat16;
-  PFI_CHECK(false) << "unknown dtype '" << name << "' in trace";
-}
-
 }  // namespace
 
 std::string event_to_json(const InjectionEvent& ev) {
@@ -151,47 +87,52 @@ std::string event_to_json(const InjectionEvent& ev) {
   return os.str();
 }
 
-InjectionEvent event_from_json(const std::string& line) {
+InjectionEvent event_from_json(std::string_view line) {
+  util::JsonReader r(line, "trace line");
   InjectionEvent ev;
-  ev.trial = static_cast<std::uint64_t>(int_field(line, "trial"));
-  ev.attempt = static_cast<std::uint64_t>(int_field(line, "attempt"));
-  ev.rep = static_cast<std::int32_t>(int_field(line, "rep"));
-  const std::string kind = string_field(line, "kind");
-  PFI_CHECK(kind == "neuron" || kind == "weight" || kind == "persist")
-      << "unknown fault kind '" << kind << "' in trace";
+  ev.trial = r.key("trial").u64();
+  ev.attempt = r.key("attempt").u64();
+  ev.rep = static_cast<std::int32_t>(r.key("rep").i64(INT32_MIN, INT32_MAX));
+  const std::string kind = r.key("kind").str();
+  if (kind != "neuron" && kind != "weight" && kind != "persist") {
+    r.fail("names an unknown fault kind '", kind, "'");
+  }
   ev.kind = kind == "neuron"
                 ? FaultKind::kNeuron
                 : (kind == "weight" ? FaultKind::kWeight : FaultKind::kPersist);
-  ev.layer = int_field(line, "layer");
-  ev.layer_name = string_field(line, "layer_name");
-  ev.layer_kind = string_field(line, "layer_kind");
-  ev.dtype = dtype_from_name(string_field(line, "dtype"));
-  const std::string coords = raw_field(line, "coords");
-  PFI_CHECK(coords.size() >= 2 && coords.front() == '[')
-      << "bad coords '" << coords << "' in trace";
-  std::istringstream cs(coords.substr(1));
-  char sep = ',';
-  for (int i = 0; i < 4; ++i) {
-    cs >> ev.coords[i] >> sep;
-  }
-  ev.flat = int_field(line, "flat");
-  ev.bit = static_cast<std::int32_t>(int_field(line, "bit"));
+  ev.layer = r.key("layer").i64();
+  ev.layer_name = r.key("layer_name").str();
+  ev.layer_kind = r.key("layer_kind").str();
+  const std::string dtype = r.key("dtype").str();
+  const std::optional<core::DType> parsed = core::parse_dtype_name(dtype);
+  if (!parsed) r.fail("names an unknown dtype '", dtype, "'");
+  ev.dtype = *parsed;
+  r.key("coords");
+  for (int i = 0; i < 4; ++i) ev.coords[i] = r.lit(i == 0 ? "[" : ",").i64();
+  r.lit("]");
+  ev.flat = r.key("flat").i64();
+  ev.bit = static_cast<std::int32_t>(r.key("bit").i64(INT32_MIN, INT32_MAX));
   // A recorded flip attribution must fit the recorded dtype's own
   // representation: diff_bit=28 on an fp16 event can only mean a corrupted
   // or hand-edited trace, and accepting it would push an impossible flip
   // through replay. The replayer checks dtype against per-layer resolution;
   // this is the parse-time half of that contract.
-  PFI_CHECK(ev.bit >= -1 && ev.bit < core::dtype_bit_width(ev.dtype))
-      << "trace event records diff_bit " << ev.bit << " but dtype '"
-      << core::dtype_name(ev.dtype) << "' is only "
-      << core::dtype_bit_width(ev.dtype)
-      << " bits wide — corrupted trace line: " << line;
-  ev.pre = util::float_from_bits_hex(string_field(line, "pre_bits"));
-  ev.post = util::float_from_bits_hex(string_field(line, "post_bits"));
-  ev.model = string_field(line, "model");
-  if (ev.kind == FaultKind::kPersist) {
-    ev.time = static_cast<std::uint64_t>(int_field(line, "time"));
+  const int width = core::dtype_bit_width(ev.dtype);
+  if (ev.bit < -1 || ev.bit >= width) {
+    r.fail("records diff_bit ", ev.bit, " but dtype '", dtype, "' is only ",
+           width, " bits wide");
   }
+  // The decimal fields are a rendering of the authoritative bits fields and
+  // must be exactly that rendering.
+  const std::string_view pre = r.key("pre").raw();
+  ev.pre = r.key("pre_bits").f32_bits();
+  if (pre != json_number(ev.pre)) r.fail("does not match 'pre' ", pre);
+  const std::string_view post = r.key("post").raw();
+  ev.post = r.key("post_bits").f32_bits();
+  if (post != json_number(ev.post)) r.fail("does not match 'post' ", post);
+  ev.model = r.key("model").str();
+  if (ev.kind == FaultKind::kPersist) ev.time = r.key("time").u64();
+  r.end("}");
   return ev;
 }
 
@@ -213,14 +154,10 @@ void write_trace_jsonl(const std::string& path,
 }
 
 std::vector<InjectionEvent> read_trace_jsonl(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  PFI_CHECK(in.good()) << "cannot open trace '" << path << "'";
+  const std::string text = util::read_file(path);
+  util::JsonReader r(text, path);
   std::vector<InjectionEvent> events;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    events.push_back(event_from_json(line));
-  }
+  while (!r.at_end()) events.push_back(event_from_json(r.line()));
   return events;
 }
 

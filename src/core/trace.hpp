@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -173,8 +174,9 @@ class TraceSink {
 /// decimal field and the authoritative hex bit pattern.
 std::string event_to_json(const InjectionEvent& ev);
 
-/// Parse one line produced by event_to_json.
-InjectionEvent event_from_json(const std::string& line);
+/// Parse one line produced by event_to_json (no trailing newline). Anything
+/// event_to_json could not have written is refused with pfi::Error.
+InjectionEvent event_from_json(std::string_view line);
 
 /// All events, one JSON object per line. This exact byte stream is what the
 /// thread-count-invariance tests compare.

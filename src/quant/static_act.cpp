@@ -4,53 +4,10 @@
 
 #include "util/error.hpp"
 #include "util/fileio.hpp"
-#include "util/parse.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace pfi::quant {
-
-namespace {
-
-/// Extract the integer after `"key":` in the single-line JSON written by
-/// to_json (same needle-scan idiom as core/checkpoint.cpp — fixed keys,
-/// unsigned integer values).
-std::uint64_t json_uint_field(const std::string& text, const char* key) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t at = text.find(needle);
-  PFI_CHECK(at != std::string::npos)
-      << "static calibration is missing field '" << key << "': " << text;
-  std::size_t end = at + needle.size();
-  while (end < text.size() && text[end] != ',' && text[end] != '}') ++end;
-  const auto value =
-      util::parse_uint(text.substr(at + needle.size(), end - at - needle.size()));
-  PFI_CHECK(value.has_value())
-      << "static calibration field '" << key << "' is not an integer: " << text;
-  return *value;
-}
-
-/// Extract the JSON string value after `"key":"` starting the search at
-/// `*pos`; advances *pos past the closing quote. All strings to_json writes
-/// are json_escape'd, so the value ends at the first unescaped '"'.
-std::string json_string_field(const std::string& text, const char* key,
-                              std::size_t* pos) {
-  const std::string needle = std::string("\"") + key + "\":\"";
-  const std::size_t at = text.find(needle, *pos);
-  PFI_CHECK(at != std::string::npos)
-      << "static calibration layer entry is missing field '" << key
-      << "': " << text;
-  std::size_t end = at + needle.size();
-  while (end < text.size() &&
-         (text[end] != '"' || text[end - 1] == '\\')) {
-    ++end;
-  }
-  PFI_CHECK(end < text.size())
-      << "static calibration field '" << key << "' is unterminated: " << text;
-  const std::string raw = text.substr(at + needle.size(), end - at - needle.size());
-  *pos = end + 1;
-  return util::json_unescape(raw);
-}
-
-}  // namespace
 
 const LayerActScales* StaticActQuant::find(const std::string& path) const {
   for (const LayerActScales& l : layers) {
@@ -81,34 +38,21 @@ std::string StaticActQuant::to_json() const {
 }
 
 StaticActQuant StaticActQuant::from_json(const std::string& text) {
+  util::JsonReader r(text, "static calibration");
   StaticActQuant out;
-  const std::uint64_t version = json_uint_field(text, "version");
-  PFI_CHECK(version == 1) << "unsupported static calibration version "
-                          << version;
-  out.weight_fingerprint = json_uint_field(text, "weight_fp");
-  const std::string needle = "\"layers\":[";
-  const std::size_t at = text.find(needle);
-  PFI_CHECK(at != std::string::npos)
-      << "static calibration is missing the layers array: " << text;
-  std::size_t pos = at + needle.size();
-  while (pos < text.size() && text[pos] != ']') {
-    if (text[pos] == ',' || text[pos] == '{') {
-      ++pos;
-      continue;
-    }
+  const std::uint64_t version = r.key("version").u64();
+  if (version != 1) r.fail("is ", version, ", an unsupported version");
+  out.weight_fingerprint = r.key("weight_fp").u64();
+  r.key("layers");
+  while (r.next_item()) {
     LayerActScales l;
-    l.path = json_string_field(text, "path", &pos);
-    l.in_scale = util::float_from_bits_hex(json_string_field(text, "in_bits", &pos));
-    l.out_scale =
-        util::float_from_bits_hex(json_string_field(text, "out_bits", &pos));
-    while (pos < text.size() && text[pos] != '}') ++pos;
-    PFI_CHECK(pos < text.size())
-        << "static calibration layer entry is unterminated: " << text;
-    ++pos;
+    l.path = r.key("path").str();
+    l.in_scale = r.key("in_bits").f32_bits();
+    l.out_scale = r.key("out_bits").f32_bits();
+    r.lit("}");
     out.layers.push_back(std::move(l));
   }
-  PFI_CHECK(pos < text.size())
-      << "static calibration layers array is unterminated: " << text;
+  r.end("}\n");
   return out;
 }
 

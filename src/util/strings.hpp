@@ -1,6 +1,6 @@
 // Text-encoding helpers shared by the report writers: CSV field quoting
-// (RFC 4180), JSON string escaping, and exact float <-> hex-bits round
-// trips for the trace subsystem's bit-faithful serialization.
+// (RFC 4180), JSON string escaping, and the exact float -> hex-bits
+// encoding behind the trace's bit-faithful serialization.
 #pragma once
 
 #include <bit>
@@ -55,8 +55,15 @@ inline std::string json_escape(const std::string& s) {
   return out;
 }
 
+/// Value of one lowercase hex digit (the only case our writers emit), or -1.
+inline int hex_digit(char c) {
+  if (c >= '0' && c <= '9') return c - '0';
+  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+  return -1;
+}
+
 /// Undo json_escape (\", \\, \n, \r, \t, \uXXXX for XXXX < 0x80).
-inline std::string json_unescape(const std::string& s) {
+inline std::string json_unescape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
   for (std::size_t i = 0; i < s.size(); ++i) {
@@ -75,7 +82,12 @@ inline std::string json_unescape(const std::string& s) {
       case 't': out.push_back('\t'); break;
       case 'u': {
         PFI_CHECK(i + 4 < s.size()) << "truncated \\u escape in '" << s << "'";
-        const unsigned long code = std::stoul(s.substr(i + 1, 4), nullptr, 16);
+        unsigned code = 0;
+        for (std::size_t k = i + 1; k <= i + 4; ++k) {
+          const int d = hex_digit(s[k]);
+          PFI_CHECK(d >= 0) << "bad hex digit in \\u escape in '" << s << "'";
+          code = code << 4 | static_cast<unsigned>(d);
+        }
         PFI_CHECK(code < 0x80) << "non-ASCII \\u escape " << code;
         out.push_back(static_cast<char>(code));
         i += 4;
@@ -108,14 +120,6 @@ inline std::string float_bits_hex(float v) {
   char buf[9];
   std::snprintf(buf, sizeof buf, "%08x", std::bit_cast<std::uint32_t>(v));
   return buf;
-}
-
-/// Inverse of float_bits_hex.
-inline float float_from_bits_hex(const std::string& hex) {
-  PFI_CHECK(hex.size() == 8) << "float bits hex '" << hex
-                             << "' must be 8 digits";
-  return std::bit_cast<float>(
-      static_cast<std::uint32_t>(std::stoul(hex, nullptr, 16)));
 }
 
 }  // namespace pfi::util

@@ -100,6 +100,18 @@ TEST(CheckpointJson, RejectsMalformedInput) {
   EXPECT_THROW(checkpoint_from_json(""), Error);
   EXPECT_THROW(checkpoint_from_json("not json at all"), Error);
   EXPECT_THROW(checkpoint_from_json("{\"version\":1}"), Error);
+  // One edit away from the writer's output, each of these used to be read
+  // as some checkpoint.
+  const std::string good = checkpoint_to_json(CheckpointState{});
+  ASSERT_NO_THROW(checkpoint_from_json(good));
+  const std::string body = good.substr(0, good.size() - 2);  // drop "}\n"
+  std::string dup = good;
+  dup.insert(dup.find(",\"skipped\""), ",\"trials\":5");
+  EXPECT_THROW(checkpoint_from_json(good + "x"), Error);
+  EXPECT_THROW(checkpoint_from_json(dup), Error);
+  EXPECT_THROW(checkpoint_from_json(body + ",\"bogus\":1}\n"), Error);
+  EXPECT_THROW(checkpoint_from_json(body), Error);
+  EXPECT_THROW(checkpoint_from_json(body + ",\"strata\":[]}\n"), Error);
 }
 
 TEST(CheckpointJson, RejectsUnknownVersion) {

@@ -13,9 +13,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <functional>
 #include <limits>
 #include <string>
+#include <typeinfo>
 #include <utility>
 #include <vector>
 
@@ -27,6 +29,7 @@
 #include "core/shard.hpp"
 #include "core/trace.hpp"
 #include "data/synthetic.hpp"
+#include "json_fuzz.hpp"
 #include "models/trainer.hpp"
 #include "nn/container.hpp"
 #include "nn/layers.hpp"
@@ -309,6 +312,32 @@ TEST(ShardManifestTest, RejectsUnsupportedVersion) {
 TEST(ShardManifestTest, RejectsMalformedJson) {
   EXPECT_THROW(shard_manifest_from_json("{\"version\":1"), Error);
   EXPECT_THROW(shard_manifest_from_json("not json at all"), Error);
+  // One edit away from a stratified manifest, each of these used to read
+  // as a different one: bit_class 2^32 + 1 as 1, a 17-digit weight without
+  // its top digit, and "00" as 0.
+  ShardManifest m;
+  m.kind = "stratified";
+  m.log = "s.log";
+  m.strata = {{.layer = 0, .bit_class = 1, .bit_lo = 23, .bit_hi = 30,
+               .weight = 0.25}};
+  m.stratum_caps = {5};
+  m.stratum_attempt_caps = {5'100};
+  const std::string good = shard_manifest_to_json(m);
+  ASSERT_NO_THROW(shard_manifest_from_json(good));
+  const auto edit = [&](const std::string& from, const std::string& to) {
+    std::string out = good;
+    const std::size_t at = out.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return out.replace(at, from.size(), to);
+  };
+  EXPECT_THROW(shard_manifest_from_json(edit("[0,1,", "[0,4294967297,")),
+               Error);
+  EXPECT_THROW(shard_manifest_from_json(
+                   edit("\"0x3fd0000000000000\"", "\"0x13fd0000000000000\"")),
+               Error);
+  EXPECT_THROW(
+      shard_manifest_from_json(edit("\"records\":0", "\"records\":00")),
+      Error);
 }
 
 /// A valid uniform manifest whose `key` value is replaced verbatim.
@@ -883,6 +912,62 @@ TEST(ShardMergeRefusal, TraceRequestedButEventsNotRecorded) {
   trace::TraceSink sink(false);
   expect_refusal([&] { merge_shards(dir.manifests(2), &sink); },
                  "recorded no events");
+}
+
+// ------------------------------------------------------------ fuzzing ----
+
+// JsonFuzz for shard logs: re-commit a mutant of shard 0's log — with the
+// manifest's log_bytes and log_digest recomputed, so the parser sees the
+// mutant rather than the digest check — and merge. Each mutant must be
+// refused with pfi::Error or merge; nothing else may escape.
+TEST(JsonFuzz, ShardLogsMergeOrAreRefused) {
+  const TinyFixture& fx = tiny();
+  FaultInjector fi(fx.model, tiny_fi_config());
+  ShardDir uniform("/tmp/pfi_shard_fuzz_u");
+  ShardDir stratified("/tmp/pfi_shard_fuzz_s");
+  for (std::int64_t k = 0; k < 2; ++k) {
+    const ShardPlan plan{.shards = 2, .shard_index = k, .record_events = true};
+    run_classification_shard(fi, fx.ds, uniform_config(), plan, uniform.path);
+    run_stratified_shard(fi, fx.ds, stratified_config(), plan,
+                         stratified.path);
+  }
+  const auto write = [](const std::string& path, const std::string& bytes) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+  };
+  const std::vector<std::string> pool = {
+      util::read_file(shard_paths(uniform.path, 0, 2).log),
+      util::read_file(shard_paths(stratified.path, 0, 2).log)};
+  std::uint64_t seed = 0;
+  for (const ShardDir* dir : {&uniform, &stratified}) {
+    const ShardPaths p = shard_paths(dir->path, 0, 2);
+    const std::string log = util::read_file(p.log);
+    ShardManifest m = read_shard_manifest(p.manifest);
+    ASSERT_NO_THROW(merge_shards(dir->manifests(2)));
+    Rng rng(++seed);
+    int merged = 0;
+    int refused = 0;
+    for (int i = 0; i < 1'000; ++i) {
+      const std::string mutant = fuzz::mutate(log, pool, rng);
+      write(p.log, mutant);
+      m.log_bytes = mutant.size();
+      m.log_digest = util::fnv1a(mutant);
+      write(p.manifest, shard_manifest_to_json(m));
+      trace::TraceSink sink(false);
+      try {
+        merge_shards(dir->manifests(2), &sink);
+        ++merged;
+      } catch (const Error&) {
+        ++refused;
+      } catch (const std::exception& e) {
+        FAIL() << m.kind << " log mutant " << i << " threw "
+               << typeid(e).name() << " (" << e.what()
+               << ") instead of pfi::Error:\n"
+               << mutant;
+      }
+    }
+    EXPECT_GT(merged, 0) << m.kind;
+    EXPECT_GT(refused, 0) << m.kind;
+  }
 }
 
 // ------------------------------------------------------ shard refusals ----

@@ -448,6 +448,18 @@ TEST_F(StaticCalibInjector, CalibrationRoundTripsThroughJsonBitExactly) {
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("does not exist"), std::string::npos);
   }
+
+  // A path ending in '\' keeps its closing quote, and an entry missing
+  // 'out_bits' is refused rather than given the next entry's.
+  quant::StaticActQuant odd;
+  odd.layers = {{.path = "a\\", .in_scale = 1.0f, .out_scale = 2.0f},
+                {.path = "b", .in_scale = 3.0f, .out_scale = 4.0f}};
+  const std::string odd_json = odd.to_json();
+  EXPECT_EQ(quant::StaticActQuant::from_json(odd_json).to_json(), odd_json);
+  std::string missing = odd_json;
+  const std::string out_bits = ",\"out_bits\":\"40000000\"";  // 2.0f
+  missing.erase(missing.find(out_bits), out_bits.size());
+  EXPECT_THROW(quant::StaticActQuant::from_json(missing), Error);
 }
 
 TEST_F(StaticCalibInjector, CalibrationRequiresAFaultFreeFp32Injector) {

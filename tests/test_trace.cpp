@@ -253,6 +253,35 @@ TEST(TraceJsonl, RejectsDiffBitWiderThanTheDtype) {
   EXPECT_NO_THROW(trace::event_from_json(trace::event_to_json(ev)));
 }
 
+// Each line is one edit away from a valid event. The old reader took most
+// of them as a different event, and threw std::invalid_argument or
+// std::out_of_range on the last two, which pfi_merge's `catch (const
+// Error&)` does not catch.
+TEST(TraceJsonl, RefusesMalformedLines) {
+  const std::string line = trace::event_to_json(sample_event());
+  ASSERT_NO_THROW(trace::event_from_json(line));
+  const auto edit = [&](const std::string& from, const std::string& to) {
+    std::string out = line;
+    const std::size_t at = out.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return out.replace(at, from.size(), to);
+  };
+  for (const std::string& bad : {
+           edit("\"coords\":[0,7,2,9]", "\"coords\":[0,1]"),
+           edit("\"coords\":[0,7,2,9]", "\"coords\":[0,1,2,3,4]"),
+           edit("\"trial\":12", "\"trial\":-1"),
+           edit("\"trial\":12", "\"trial\":12abc"),
+           edit("\"rep\":1", "\"rep\":4294967297"),
+           edit("\"pre_bits\":\"3f000000\"", "\"pre_bits\":\"3fc0000g\""),
+           edit("\"flat\":1234", "\"flat\":1234,\"flat\":1234"),
+           line + "}",
+           edit("\"flat\":1234", "\"flat\":abc"),
+           edit("\"trial\":12", "\"trial\":18446744073709551617"),
+       }) {
+    EXPECT_THROW(trace::event_from_json(bad), Error) << bad;
+  }
+}
+
 TEST(TraceJsonl, HostileLayerNameCannotShadowFieldsOrBreakParsing) {
   auto ev = sample_event();
   // Quotes, a comma, a newline, and text that looks like a JSON field.

@@ -461,6 +461,8 @@ TEST(JsonEscape, UnescapeRejectsMalformedInput) {
   EXPECT_THROW(util::json_unescape("\\q"), Error);
   EXPECT_THROW(util::json_unescape("\\u00"), Error);
   EXPECT_THROW(util::json_unescape("\\u0080"), Error);  // non-ASCII refused
+  EXPECT_THROW(util::json_unescape("\\uzzzz"), Error);
+  EXPECT_THROW(util::json_unescape("\\u00zz"), Error);  // not NUL
 }
 
 TEST(Fnv1a, MatchesReferenceVectorsAndChains) {
