@@ -32,8 +32,14 @@
 // layer skips any operand: an injected Inf or NaN always reaches the output
 // the way real hardware would propagate it.
 //
+// Max pooling (max_pool2d, pool.cpp) lives here too: an AVX2 path for the
+// 2x2 stride-2 unpadded windows every zoo network downsamples with, and the
+// scalar reference loop for every other geometry. Both apply one selection
+// rule, so dispatch never changes an output bit or a recorded argmax.
+//
 // Escape hatch: PFI_KERNEL=naive routes every GEMM through the retained
-// reference kernel (same IEEE semantics, no tiling) for bisecting numerical
+// reference kernel (same IEEE semantics, no tiling) and every max pool
+// through its scalar reference loop, for bisecting numerical
 // differences; PFI_KERNEL_THREADS=N enables intra-op parallelism over the
 // fixed tile grid (default 1 — campaign-level parallelism already saturates
 // the machine, and the tile grid keeps results identical either way).
@@ -168,6 +174,30 @@ void gemm(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
           std::int64_t lda, bool trans_a, const float* b, std::int64_t ldb,
           bool trans_b, float* c, std::int64_t ldc,
           Epilogue epilogue = Epilogue::kZero, const float* bias = nullptr);
+
+/// Geometry of a max pool over `planes` contiguous h x w input planes (an
+/// NCHW tensor has N*C of them). Windows are kernel x kernel, stepped by
+/// `stride`, with `padding` virtual rows/cols on every side that never win.
+struct PoolShape {
+  std::int64_t planes = 0, h = 0, w = 0;
+  std::int64_t kernel = 0, stride = 0, padding = 0;
+  std::int64_t out_h() const { return (h + 2 * padding - kernel) / stride + 1; }
+  std::int64_t out_w() const { return (w + 2 * padding - kernel) / stride + 1; }
+};
+
+/// Max pooling: out[p][oh][ow] is the selected element of its window and
+/// offset[p][oh][ow] its window position kh * kernel + kw (kernel <= 16, so
+/// it fits in a byte). Selection rule: windows are scanned row-major over
+/// their in-bounds elements; the first seeds `best`, and a later v replaces
+/// it iff v > best or v is NaN. A window holding any NaN therefore yields
+/// its last NaN (payload and sign intact) — injected faults propagate —
+/// and otherwise the first occurrence of its max (+-0 ties keep the first).
+/// Every window must hold an in-bounds element (2 * padding <= kernel and a
+/// non-empty output). Kernel 2 / stride 2 / padding 0 runs 8 outputs per
+/// AVX2 step when the CPU has it; other geometries, row tails and
+/// Impl::kNaive run the scalar reference. Both give identical bits.
+void max_pool2d(const PoolShape& shape, const float* in, float* out,
+                std::uint8_t* offset);
 
 /// Position-mixed FNV-1a over the exact bit patterns of n floats. A single
 /// flipped bit anywhere always changes the digest — the property weight

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+
+#include "kernels/kernels.hpp"
 
 namespace pfi::nn {
 
@@ -116,59 +117,40 @@ Tensor Softmax::backward(const Tensor& grad_output) {
 
 // ----------------------------------------------------------- MaxPool2d ------
 
+namespace {
+
+kernels::PoolShape pool_shape(const Shape& input, std::int64_t kernel,
+                              std::int64_t stride, std::int64_t padding) {
+  return {.planes = input[0] * input[1], .h = input[2], .w = input[3],
+          .kernel = kernel, .stride = stride, .padding = padding};
+}
+
+}  // namespace
+
 MaxPool2d::MaxPool2d(std::int64_t kernel, std::int64_t stride,
                      std::int64_t padding)
     : kernel_(kernel), stride_(stride == 0 ? kernel : stride),
       padding_(padding) {
-  PFI_CHECK(kernel_ > 0 && stride_ > 0 && padding_ >= 0)
-      << "MaxPool2d geometry invalid";
+  PFI_CHECK(kernel_ > 0 && stride_ > 0 && padding_ >= 0 && kernel_ <= 16 &&
+            padding_ <= kernel_ / 2)
+      << "MaxPool2d(kernel=" << kernel_ << ", stride=" << stride_
+      << ", padding=" << padding_
+      << ") refused: needs kernel in [1, 16] (its window offsets are one "
+         "byte), stride >= 1 and 0 <= 2 * padding <= kernel (so no window "
+         "holds only padding)";
 }
 
 Tensor MaxPool2d::forward(const Tensor& input) {
   PFI_CHECK(input.dim() == 4) << "MaxPool2d expects NCHW, got "
                               << input.to_string();
   input_shape_ = input.shape();
-  const auto n = input.size(0), c = input.size(1), h = input.size(2),
-             w = input.size(3);
-  const auto ho = (h + 2 * padding_ - kernel_) / stride_ + 1;
-  const auto wo = (w + 2 * padding_ - kernel_) / stride_ + 1;
-  PFI_CHECK(ho > 0 && wo > 0) << "MaxPool2d output empty for "
-                              << input.to_string();
-  Tensor out({n, c, ho, wo});
-  argmax_.assign(static_cast<std::size_t>(out.numel()), 0);
-  const auto* in = input.data().data();
-  auto* o = out.data().data();
-  std::int64_t oi = 0;
-  for (std::int64_t ni = 0; ni < n; ++ni) {
-    for (std::int64_t ci = 0; ci < c; ++ci) {
-      const float* plane = in + (ni * c + ci) * h * w;
-      const std::int64_t plane_base = (ni * c + ci) * h * w;
-      for (std::int64_t oh = 0; oh < ho; ++oh) {
-        for (std::int64_t ow = 0; ow < wo; ++ow, ++oi) {
-          float best = -std::numeric_limits<float>::infinity();
-          std::int64_t best_idx = -1;
-          for (std::int64_t kh = 0; kh < kernel_; ++kh) {
-            const std::int64_t ih = oh * stride_ - padding_ + kh;
-            if (ih < 0 || ih >= h) continue;
-            for (std::int64_t kw = 0; kw < kernel_; ++kw) {
-              const std::int64_t iw = ow * stride_ - padding_ + kw;
-              if (iw < 0 || iw >= w) continue;
-              const float v = plane[ih * w + iw];
-              // NaN-aware: a NaN in the window wins so that injected
-              // non-finite values propagate instead of being silently
-              // dropped by the comparison.
-              if (v > best || best_idx < 0 || std::isnan(v)) {
-                best = v;
-                best_idx = plane_base + ih * w + iw;
-              }
-            }
-          }
-          o[oi] = best;
-          argmax_[static_cast<std::size_t>(oi)] = best_idx;
-        }
-      }
-    }
-  }
+  const auto s = pool_shape(input_shape_, kernel_, stride_, padding_);
+  PFI_CHECK(s.out_h() > 0 && s.out_w() > 0)
+      << "MaxPool2d output empty for " << input.to_string();
+  Tensor out({input.size(0), input.size(1), s.out_h(), s.out_w()});
+  argmax_.resize(static_cast<std::size_t>(out.numel()));
+  kernels::max_pool2d(s, input.data().data(), out.data().data(),
+                      argmax_.data());
   return out;
 }
 
@@ -179,8 +161,24 @@ Tensor MaxPool2d::backward(const Tensor& grad_output) {
   auto go = grad_output.data();
   PFI_CHECK(go.size() == argmax_.size())
       << "MaxPool2d::backward grad shape " << grad_output.to_string();
-  for (std::size_t i = 0; i < go.size(); ++i) {
-    gi[static_cast<std::size_t>(argmax_[i])] += go[i];
+  const auto s = pool_shape(input_shape_, kernel_, stride_, padding_);
+  // Flat input index = the window's top-left corner (which may sit in the
+  // padding) + the stored offset's displacement. Outputs scatter in order,
+  // so overlapping windows always accumulate in the same order.
+  std::vector<std::int64_t> shift(static_cast<std::size_t>(kernel_ * kernel_));
+  for (std::int64_t o = 0; o < kernel_ * kernel_; ++o) {
+    shift[static_cast<std::size_t>(o)] = (o / kernel_) * s.w + o % kernel_;
+  }
+  std::size_t i = 0;
+  for (std::int64_t p = 0; p < s.planes; ++p) {
+    for (std::int64_t oh = 0; oh < s.out_h(); ++oh) {
+      const std::int64_t row =
+          p * s.h * s.w + (oh * stride_ - padding_) * s.w - padding_;
+      for (std::int64_t ow = 0; ow < s.out_w(); ++ow, ++i) {
+        const std::int64_t at = row + ow * stride_ + shift[argmax_[i]];
+        gi[static_cast<std::size_t>(at)] += go[i];
+      }
+    }
   }
   return grad_input;
 }

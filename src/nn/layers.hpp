@@ -78,7 +78,12 @@ class Softmax final : public Module {
   Tensor cached_output_;
 };
 
-/// Max pooling with cached argmax indices for backward.
+/// Max pooling via kernels::max_pool2d (its header states the NaN-aware
+/// selection rule). Every forward, eval mode included, keeps each output's
+/// argmax as a one-byte window offset kh * kernel + kw; backward rebuilds
+/// the flat input index from it, so Grad-CAM can backprop after an eval
+/// forward. Refuses kernel > 16 (the offset must fit in a byte) and
+/// 2 * padding > kernel (a window could then hold only padding).
 class MaxPool2d final : public Module {
  public:
   MaxPool2d(std::int64_t kernel, std::int64_t stride = 0,
@@ -97,7 +102,7 @@ class MaxPool2d final : public Module {
  private:
   std::int64_t kernel_, stride_, padding_;
   Shape input_shape_;
-  std::vector<std::int64_t> argmax_;  // flat input index per output element
+  std::vector<std::uint8_t> argmax_;  // window offset per output element
 };
 
 /// Average pooling.

@@ -11,9 +11,11 @@
 //     extension of the campaign engine's determinism guarantee.
 //
 // Also here: IEEE-faithfulness regressions for the zero-skip bug (0 * Inf
-// must produce NaN; NaN must propagate), and the packed-weight-cache
+// must produce NaN; NaN must propagate), the packed-weight-cache
 // coherence tests for Conv2d/Linear (mutation through tensor aliases — the
-// fault injector's mechanism — must never be served a stale pack).
+// fault injector's mechanism — must never be served a stale pack), and the
+// max-pooling differential suite (AVX2 path vs scalar reference vs the
+// int64-index pooling MaxPool2d ran before it kept one-byte offsets).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -22,6 +24,7 @@
 #include <vector>
 
 #include "kernels/kernels.hpp"
+#include "models/zoo.hpp"
 #include "nn/nn.hpp"
 #include "util/bits.hpp"
 #include "util/rng.hpp"
@@ -45,6 +48,7 @@ using KernelsConv = Kernels;
 using KernelsLinear = Kernels;
 using KernelsCache = Kernels;
 using KernelsIeee = Kernels;
+using KernelsMaxPool = Kernels;
 
 std::vector<float> random_matrix(std::int64_t n, Rng& rng, float lo = -2.0f,
                                  float hi = 2.0f) {
@@ -486,6 +490,216 @@ TEST_F(KernelsCache, FingerprintDetectsSingleBitFlips) {
     }
   }
   EXPECT_EQ(fingerprint(w.data(), 64), fp0);
+}
+
+// ------------------------------------------------------------ max pooling ----
+
+/// MaxPool2d's forward as it was when it kept an int64 flat input index per
+/// output: the oracle for both pooling paths and for the offsets.
+struct IndexPool {
+  std::vector<float> out;
+  std::vector<std::int64_t> argmax;
+};
+
+IndexPool index_pool(const std::vector<float>& in, const PoolShape& s) {
+  IndexPool r;
+  for (std::int64_t p = 0; p < s.planes; ++p) {
+    for (std::int64_t oh = 0; oh < s.out_h(); ++oh) {
+      for (std::int64_t ow = 0; ow < s.out_w(); ++ow) {
+        float best = -kInf;
+        std::int64_t best_idx = -1;
+        for (std::int64_t kh = 0; kh < s.kernel; ++kh) {
+          const std::int64_t ih = oh * s.stride - s.padding + kh;
+          if (ih < 0 || ih >= s.h) continue;
+          for (std::int64_t kw = 0; kw < s.kernel; ++kw) {
+            const std::int64_t iw = ow * s.stride - s.padding + kw;
+            if (iw < 0 || iw >= s.w) continue;
+            const std::int64_t idx = (p * s.h + ih) * s.w + iw;
+            const float v = in[static_cast<std::size_t>(idx)];
+            if (v > best || best_idx < 0 || std::isnan(v)) {
+              best = v;
+              best_idx = idx;
+            }
+          }
+        }
+        r.out.push_back(best);
+        r.argmax.push_back(best_idx);
+      }
+    }
+  }
+  return r;
+}
+
+/// The matching backward: scatter each output gradient to its int64 index.
+std::vector<float> index_scatter(const IndexPool& ref,
+                                 std::span<const float> grad,
+                                 std::size_t numel) {
+  std::vector<float> gi(numel, 0.0f);
+  for (std::size_t i = 0; i < grad.size(); ++i) {
+    gi[static_cast<std::size_t>(ref.argmax[i])] += grad[i];
+  }
+  return gi;
+}
+
+/// Values that split every case of the selection rule: NaNs with distinct
+/// payloads, both signs, quiet and signalling; +-0; +-inf; small integers
+/// (tied maxima); plain uniforms. nan_pct = 100 makes every window all-NaN.
+std::vector<float> hostile_values(std::int64_t n, Rng& rng, int nan_pct) {
+  std::vector<float> v(static_cast<std::size_t>(n));
+  std::uint32_t payload = 0;
+  for (auto& x : v) {
+    const std::uint32_t sign = rng.bernoulli(0.5) ? 0x80000000u : 0u;
+    if (static_cast<int>(rng.next_below(100)) < nan_pct) {
+      payload = payload % 0x3fffffu + 1;
+      const std::uint32_t quiet = rng.bernoulli(0.5) ? 0x400000u : 0u;
+      x = bits_to_float(sign | 0x7f800000u | quiet | payload);
+      continue;
+    }
+    const auto kind = rng.next_below(10);
+    if (kind == 0) {
+      x = bits_to_float(sign);  // +-0
+    } else if (kind == 1) {
+      x = bits_to_float(sign | 0x7f800000u);  // +-inf
+    } else if (kind < 6) {
+      x = static_cast<float>(rng.next_int(-2, 2));
+    } else {
+      x = rng.uniform(-3.0f, 3.0f);
+    }
+  }
+  return v;
+}
+
+bool same_bits(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST_F(KernelsMaxPool, SimdScalarAndIndexOracleAgreeBitForBit) {
+  // Every geometry the zoo uses (2/2/0, googlenet's 3/1/1), the
+  // PoolGeometry grid, and padded windows; output widths 1..17 so every
+  // tail length after the 8-wide groups runs; odd heights and widths.
+  struct Geometry {
+    std::int64_t kernel, stride, padding;
+  };
+  std::vector<Geometry> geometries = {{2, 2, 0}, {3, 1, 1}, {2, 2, 1},
+                                      {3, 2, 1}, {4, 2, 2}, {5, 3, 2}};
+  for (const std::int64_t k : {2, 3, 4}) {
+    for (const std::int64_t st : {1, 2, 3}) geometries.push_back({k, st, 0});
+  }
+  Rng rng(97);
+  int cases = 0;
+  for (const auto& g : geometries) {
+    const auto span_for = [&](std::int64_t outputs) {
+      return (outputs - 1) * g.stride + g.kernel - 2 * g.padding;
+    };
+    std::vector<std::int64_t> heights = {span_for(1), span_for(2) + 1,
+                                         span_for(3)};
+    std::vector<std::int64_t> widths;
+    for (std::int64_t wo = 1; wo <= 17; ++wo) {
+      widths.push_back(span_for(wo));
+      widths.push_back(span_for(wo) + 1);
+    }
+    if (g.kernel == 2 && g.stride == 2 && g.padding == 0) {
+      heights.push_back(1);  // one output row whose windows the edge clips
+      widths.push_back(1);
+    }
+    for (const auto h : heights) {
+      for (const auto w : widths) {
+        if (h < 1 || w < 1) continue;
+        for (const int nan_pct : {0, 15, 100}) {
+          const std::int64_t n = 2, c = 3;
+          const PoolShape s{.planes = n * c, .h = h, .w = w,
+                            .kernel = g.kernel, .stride = g.stride,
+                            .padding = g.padding};
+          const auto where = ::testing::Message()
+                             << "k" << g.kernel << "s" << g.stride << "p"
+                             << g.padding << " h=" << h << " w=" << w
+                             << " nan%=" << nan_pct;
+          const auto in = hostile_values(s.planes * h * w, rng, nan_pct);
+          const IndexPool ref = index_pool(in, s);
+          const auto outputs = ref.out.size();
+
+          std::vector<float> out_simd(outputs), out_ref(outputs);
+          std::vector<std::uint8_t> off_simd(outputs), off_ref(outputs);
+          set_impl(Impl::kBlocked);
+          max_pool2d(s, in.data(), out_simd.data(), off_simd.data());
+          set_impl(Impl::kNaive);
+          max_pool2d(s, in.data(), out_ref.data(), off_ref.data());
+          ASSERT_TRUE(same_bits(out_simd, ref.out)) << where;
+          ASSERT_TRUE(same_bits(out_ref, ref.out)) << where;
+          ASSERT_EQ(off_simd, off_ref) << where;
+          std::size_t i = 0;
+          for (std::int64_t p = 0; p < s.planes; ++p) {
+            for (std::int64_t oh = 0; oh < s.out_h(); ++oh) {
+              for (std::int64_t ow = 0; ow < s.out_w(); ++ow, ++i) {
+                const std::int64_t kh = off_ref[i] / g.kernel;
+                const std::int64_t kw = off_ref[i] % g.kernel;
+                const std::int64_t flat =
+                    (p * h + oh * g.stride - g.padding + kh) * w +
+                    ow * g.stride - g.padding + kw;
+                ASSERT_EQ(flat, ref.argmax[i]) << where << " output " << i;
+              }
+            }
+          }
+
+          // Backward through the layer, after an eval-mode forward (the
+          // Grad-CAM order), against the int64-index scatter.
+          const Tensor x({n, c, h, w}, in);
+          const Tensor grad =
+              Tensor::rand({n, c, s.out_h(), s.out_w()}, rng, -1.0f, 1.0f);
+          const auto want = index_scatter(ref, grad.data(), in.size());
+          for (const Impl impl : {Impl::kBlocked, Impl::kNaive}) {
+            set_impl(impl);
+            nn::MaxPool2d mp(g.kernel, g.stride, g.padding);
+            mp.eval();
+            ASSERT_TRUE(same_bits(mp(x).data(), ref.out)) << where;
+            ASSERT_TRUE(same_bits(mp.backward(grad).data(), want)) << where;
+          }
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_GT(cases, 1500);
+}
+
+TEST_F(KernelsMaxPool, ModelLogitsIdenticalUnderBothPoolingPaths) {
+  // Every max pool of two zoo networks, on real activations. In the
+  // reference run a forward hook recomputes each pool's output under
+  // Impl::kNaive while the GEMMs stay blocked, so the logits compare the
+  // two pooling paths and nothing else.
+  for (const char* name : {"alexnet", "squeezenet"}) {
+    Rng rng(41);
+    auto model = models::make_model(name, {}, rng);
+    model->eval();
+    bool reference = false;
+    int recomputed = 0;
+    for (auto& [path, m] : model->named_modules()) {
+      auto* mp = dynamic_cast<nn::MaxPool2d*>(m);
+      if (mp == nullptr) continue;
+      mp->register_forward_hook(
+          [mp, &reference, &recomputed](nn::Module&, const Tensor& in,
+                                        Tensor& out) {
+            if (!reference) return;
+            set_impl(Impl::kNaive);
+            const Tensor scalar = mp->forward(in);
+            set_impl(Impl::kBlocked);
+            ASSERT_EQ(scalar.shape(), out.shape());
+            std::memcpy(out.data().data(), scalar.data().data(),
+                        out.data().size() * sizeof(float));
+            ++recomputed;
+          });
+    }
+    for (const std::int64_t batch : {1, 8}) {
+      const Tensor x = Tensor::rand({batch, 3, 32, 32}, rng, -1.0f, 1.0f);
+      reference = false;
+      const Tensor simd = (*model)(x).clone();
+      reference = true;
+      const Tensor scalar = (*model)(x).clone();
+      EXPECT_TRUE(bit_equal(simd, scalar)) << name << " batch " << batch;
+    }
+    EXPECT_GE(recomputed, 4) << name;
+  }
 }
 
 }  // namespace

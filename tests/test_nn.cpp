@@ -218,6 +218,36 @@ TEST(Layers, MaxPoolStrideAndPadding) {
   EXPECT_EQ(y.shape(), (Shape{1, 1, 3, 3}));
 }
 
+TEST(Layers, MaxPoolRefusesAllPaddingWindows) {
+  // With 2 * padding > kernel an edge window can hold only padding: it has
+  // no element to pick, so backward would have no input index to route to.
+  for (const auto& [k, s, p] : {std::tuple{2, 2, 2}, std::tuple{3, 1, 2}}) {
+    try {
+      MaxPool2d mp(k, s, p);
+      ADD_FAILURE() << "MaxPool2d(" << k << ", " << s << ", " << p
+                    << ") accepted";
+    } catch (const Error& e) {
+      const std::string geometry = "kernel=" + std::to_string(k) +
+                                   ", stride=" + std::to_string(s) +
+                                   ", padding=" + std::to_string(p);
+      EXPECT_NE(std::string(e.what()).find(geometry), std::string::npos)
+          << e.what();
+    }
+  }
+  for (const auto& [k, s, p] : {std::tuple{3, 1, 1}, std::tuple{2, 2, 1}}) {
+    MaxPool2d mp(k, s, p);
+    const Tensor x = Tensor::ones({1, 1, 5, 5});
+    Tensor g = Tensor::ones(mp(x).shape());
+    EXPECT_EQ(mp.backward(g).sum(), static_cast<float>(g.numel()));
+  }
+}
+
+TEST(Layers, MaxPoolRefusesKernelsPastAByte) {
+  // Window offsets kh * kernel + kw are stored in one byte.
+  EXPECT_NO_THROW(MaxPool2d(16));
+  EXPECT_THROW(MaxPool2d(17), Error);
+}
+
 TEST(Layers, AvgPoolAverages) {
   AvgPool2d ap(2);
   Tensor x({1, 1, 2, 2}, std::vector<float>{1.0f, 2.0f, 3.0f, 6.0f});
