@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <iostream>
+#include <set>
 #include <sstream>
+#include <string_view>
 
 #include "core/calibrate.hpp"
 #include "nn/serialize.hpp"
@@ -22,9 +24,11 @@ FaultInjector::FaultInjector(std::shared_ptr<nn::Module> model, FiConfig config)
   // Select instrumented layers: every convolution (the paper's target
   // operation), plus Linear layers when requested.
   for (nn::Module* m : model_->modules()) {
-    if (m->kind() == "Conv2d" ||
-        (config_.instrument_linear && m->kind() == "Linear")) {
-      layers_.push_back(m);
+    auto* gemm = dynamic_cast<nn::GemmLayer*>(m);
+    if (gemm != nullptr &&
+        (m->kind() == "Conv2d" ||
+         (config_.instrument_linear && m->kind() == "Linear"))) {
+      layers_.push_back(gemm);
     }
   }
   PFI_CHECK(!layers_.empty())
@@ -114,7 +118,11 @@ void FaultInjector::apply_native_modes() {
         << config_.static_act->weight_fingerprint << ", this model is " << fp
         << ") — refusing to run stale scales; re-run calibration";
   }
+  std::set<std::string_view> resolved;
   for (const LayerResolution& res : config_.per_layer) {
+    PFI_CHECK(resolved.insert(res.layer).second)
+        << "per-layer resolution names '" << res.layer
+        << "' twice; give each layer one resolution";
     bool matched = false;
     for (std::size_t i = 0; i < layers_.size(); ++i) {
       if (layer_paths_[i] != res.layer) continue;
@@ -143,21 +151,12 @@ void FaultInjector::apply_native_modes() {
     // with the SAME scales, so no other code in the channel moves.
     std::vector<float> scales;
     if (lp == kernels::LowPrec::kInt8) {
-      nn::Module* m = layers_[i];
-      const Tensor& w = m->kind() == "Conv2d"
-                            ? static_cast<nn::Conv2d*>(m)->weight().value
-                            : static_cast<nn::Linear*>(m)->weight().value;
-      for (const quant::QuantParams& qp : quant::calibrate_per_channel(w)) {
+      for (const quant::QuantParams& qp :
+           quant::calibrate_per_channel(layers_[i]->weight().value)) {
         scales.push_back(qp.scale);
       }
     }
-    if (layers_[i]->kind() == "Conv2d") {
-      static_cast<nn::Conv2d*>(layers_[i])
-          ->set_native_dtype(lp, std::move(scales));
-    } else {
-      static_cast<nn::Linear*>(layers_[i])
-          ->set_native_dtype(lp, std::move(scales));
-    }
+    layers_[i]->set_native_dtype(lp, std::move(scales));
     // Frozen activation scales: a covered native-INT8 layer skips the
     // per-forward absmax pass and re-quantizes its output onto the frozen
     // grid (the INT8-resident boundary). Uncovered layers stay dynamic.
@@ -166,13 +165,7 @@ void FaultInjector::apply_native_modes() {
             ? config_.static_act->find(layer_paths_[i])
             : nullptr;
     if (act != nullptr) {
-      if (layers_[i]->kind() == "Conv2d") {
-        static_cast<nn::Conv2d*>(layers_[i])
-            ->set_static_act(act->in_scale, act->out_scale);
-      } else {
-        static_cast<nn::Linear*>(layers_[i])
-            ->set_static_act(act->in_scale, act->out_scale);
-      }
+      layers_[i]->set_static_act(act->in_scale, act->out_scale);
       layer_static_[i] = 1;
       layer_static_scale_[i] = act->out_scale;
     }
@@ -189,15 +182,8 @@ void FaultInjector::apply_native_modes() {
 void FaultInjector::reset_native_modes() {
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     if (layer_native_[i] == 0) continue;
-    if (layers_[i]->kind() == "Conv2d") {
-      auto* conv = static_cast<nn::Conv2d*>(layers_[i]);
-      conv->set_native_dtype(kernels::LowPrec::kNone);
-      if (layer_static_[i] != 0) conv->clear_static_act();
-    } else {
-      auto* linear = static_cast<nn::Linear*>(layers_[i]);
-      linear->set_native_dtype(kernels::LowPrec::kNone);
-      if (layer_static_[i] != 0) linear->clear_static_act();
-    }
+    layers_[i]->set_native_dtype(kernels::LowPrec::kNone);
+    if (layer_static_[i] != 0) layers_[i]->clear_static_act();
   }
   if (fused_relu_) {
     nn::unfuse_relu(*model_);
@@ -205,46 +191,35 @@ void FaultInjector::reset_native_modes() {
   }
 }
 
-DType FaultInjector::layer_dtype(std::int64_t i) const {
+std::size_t FaultInjector::checked_layer(std::int64_t i) const {
   PFI_CHECK(i >= 0 && i < num_layers())
       << "layer " << i << " out of range; model has " << num_layers()
       << " instrumented layers";
-  return layer_dtype_[static_cast<std::size_t>(i)];
+  return static_cast<std::size_t>(i);
+}
+
+DType FaultInjector::layer_dtype(std::int64_t i) const {
+  return layer_dtype_[checked_layer(i)];
 }
 
 bool FaultInjector::layer_native(std::int64_t i) const {
-  PFI_CHECK(i >= 0 && i < num_layers())
-      << "layer " << i << " out of range; model has " << num_layers()
-      << " instrumented layers";
-  return layer_native_[static_cast<std::size_t>(i)] != 0;
+  return layer_native_[checked_layer(i)] != 0;
 }
 
 bool FaultInjector::layer_static(std::int64_t i) const {
-  PFI_CHECK(i >= 0 && i < num_layers())
-      << "layer " << i << " out of range; model has " << num_layers()
-      << " instrumented layers";
-  return layer_static_[static_cast<std::size_t>(i)] != 0;
+  return layer_static_[checked_layer(i)] != 0;
 }
 
 const Shape& FaultInjector::layer_shape(std::int64_t layer) const {
-  PFI_CHECK(layer >= 0 && layer < num_layers())
-      << "layer " << layer << " out of range; model has " << num_layers()
-      << " instrumented layers";
-  return layer_shapes_[static_cast<std::size_t>(layer)];
+  return layer_shapes_[checked_layer(layer)];
 }
 
-nn::Module& FaultInjector::layer(std::int64_t i) const {
-  PFI_CHECK(i >= 0 && i < num_layers())
-      << "layer " << i << " out of range; model has " << num_layers()
-      << " instrumented layers";
-  return *layers_[static_cast<std::size_t>(i)];
+nn::GemmLayer& FaultInjector::layer(std::int64_t i) const {
+  return *layers_[checked_layer(i)];
 }
 
 const std::string& FaultInjector::layer_path(std::int64_t i) const {
-  PFI_CHECK(i >= 0 && i < num_layers())
-      << "layer " << i << " out of range; model has " << num_layers()
-      << " instrumented layers";
-  return layer_paths_[static_cast<std::size_t>(i)];
+  return layer_paths_[checked_layer(i)];
 }
 
 void FaultInjector::set_profiler(trace::Profiler* profiler) {
@@ -347,11 +322,10 @@ void FaultInjector::declare_layer_fault(std::int64_t layer, std::int64_t batch,
 
 void FaultInjector::declare_weight_fault(const WeightLocation& loc,
                                          const ErrorModel& model) {
-  nn::Module& m = layer(loc.layer);
-  PFI_CHECK(m.kind() == "Conv2d")
+  nn::GemmLayer& conv = layer(loc.layer);
+  PFI_CHECK(conv.kind() == "Conv2d")
       << "weight faults target Conv2d layers; layer " << loc.layer << " is "
-      << m.kind();
-  auto& conv = static_cast<nn::Conv2d&>(m);
+      << conv.kind();
   Tensor& w = conv.weight().value;
   PFI_CHECK(loc.out_c >= 0 && loc.out_c < w.size(0) && loc.in_c >= 0 &&
             loc.in_c < w.size(1) && loc.kh >= 0 && loc.kh < w.size(2) &&
@@ -386,7 +360,7 @@ void FaultInjector::declare_weight_fault(const WeightLocation& loc,
   // invalidates the layer's packed-weight cache so the next forward packs
   // the corrupted weights, not a stale golden pack.
   const float pre = w[flat];
-  weight_undo_.push_back({&conv.weight(), flat, pre, &conv});
+  weight_undo_.push_back({&conv, flat, pre});
   w[flat] = model.apply(pre, ctx);
   conv.invalidate_weight_packs();
   ++injections_;
@@ -437,17 +411,15 @@ WeightLocation FaultInjector::random_weight_location(Rng& rng,
   if (chosen < 0) {
     // Weighted by weight-tensor size.
     std::int64_t total = 0;
-    for (nn::Module* m : layers_) {
-      if (m->kind() == "Conv2d") {
-        total += static_cast<nn::Conv2d*>(m)->weight().value.numel();
-      }
+    for (nn::GemmLayer* m : layers_) {
+      if (m->kind() == "Conv2d") total += m->weight().value.numel();
     }
     PFI_CHECK(total > 0) << "no conv weights to sample";
     std::int64_t pick = static_cast<std::int64_t>(
         rng.next_below(static_cast<std::uint64_t>(total)));
     for (std::size_t i = 0; i < layers_.size(); ++i) {
       if (layers_[i]->kind() != "Conv2d") continue;
-      const auto n = static_cast<nn::Conv2d*>(layers_[i])->weight().value.numel();
+      const auto n = layers_[i]->weight().value.numel();
       if (pick < n) {
         chosen = static_cast<std::int64_t>(i);
         break;
@@ -455,10 +427,10 @@ WeightLocation FaultInjector::random_weight_location(Rng& rng,
       pick -= n;
     }
   }
-  nn::Module& m = this->layer(chosen);
+  nn::GemmLayer& m = this->layer(chosen);
   PFI_CHECK(m.kind() == "Conv2d")
       << "layer " << chosen << " is " << m.kind() << ", not Conv2d";
-  const Tensor& w = static_cast<nn::Conv2d&>(m).weight().value;
+  const Tensor& w = m.weight().value;
   WeightLocation loc;
   loc.layer = chosen;
   loc.out_c = rng.next_int(0, w.size(0) - 1);
@@ -485,8 +457,8 @@ void FaultInjector::clear() {
   // packed-weight cache: restore must be bit-exact AND never leave a stale
   // pack of the corrupted weights behind.
   for (auto it = weight_undo_.rbegin(); it != weight_undo_.rend(); ++it) {
-    it->param->value[it->flat] = it->original;
-    invalidate_module_packs(*it->owner);
+    it->layer->weight().value[it->flat] = it->original;
+    it->layer->invalidate_weight_packs();
   }
   weight_undo_.clear();
   // Stuck memory cells cannot be scrubbed by a restore: re-force them so
@@ -494,35 +466,17 @@ void FaultInjector::clear() {
   reassert_stuck_bits();
 }
 
-void FaultInjector::invalidate_module_packs(nn::Module& module) {
-  if (module.kind() == "Conv2d") {
-    static_cast<nn::Conv2d&>(module).invalidate_weight_packs();
-  } else {
-    static_cast<nn::Linear&>(module).invalidate_weight_packs();
-  }
-}
-
-nn::Parameter& FaultInjector::weight_param(std::int64_t layer) const {
-  nn::Module& m = this->layer(layer);  // validates the index
-  PFI_CHECK(m.kind() == "Conv2d" || m.kind() == "Linear")
-      << "layer " << layer << " (" << m.kind() << ") has no weight tensor";
-  return m.kind() == "Conv2d" ? static_cast<nn::Conv2d&>(m).weight()
-                              : static_cast<nn::Linear&>(m).weight();
-}
-
 quant::QuantParams FaultInjector::persistent_qparams(std::int64_t layer,
                                                      std::int64_t flat) const {
   quant::QuantParams qp;
   if (layer_dtype_[static_cast<std::size_t>(layer)] != DType::kInt8) return qp;
-  const Tensor& w = weight_param(layer).value;
+  nn::GemmLayer& m = this->layer(layer);
+  const Tensor& w = m.weight().value;
   if (layer_native_[static_cast<std::size_t>(layer)] != 0) {
     // Native INT8: the deployed code lives at the frozen per-channel scale.
     // Row-major contiguous weights put output channel c at flat indices
     // [c * inner, (c + 1) * inner) with inner = numel / size(0).
-    nn::Module& m = this->layer(layer);
-    const std::vector<float>& scales =
-        m.kind() == "Conv2d" ? static_cast<nn::Conv2d&>(m).native_scales()
-                             : static_cast<nn::Linear&>(m).native_scales();
+    const std::vector<float>& scales = m.native_scales();
     PFI_CHECK(!scales.empty())
         << "native INT8 layer " << layer << " has no frozen scales";
     const std::int64_t inner = w.numel() / w.size(0);
@@ -556,16 +510,16 @@ void FaultInjector::commit_persistent_write(std::int64_t layer,
                                             float post, std::uint64_t time,
                                             const std::string& model_name,
                                             const quant::QuantParams& qparams) {
-  nn::Parameter& param = weight_param(layer);
-  persist_undo_.push_back(
-      {&param, flat, pre, layers_[static_cast<std::size_t>(layer)]});
-  param.value[flat] = post;
-  invalidate_module_packs(*layers_[static_cast<std::size_t>(layer)]);
+  nn::GemmLayer& m = this->layer(layer);
+  persist_undo_.push_back({&m, flat, pre});
+  Tensor& w = m.weight().value;
+  w[flat] = post;
+  m.invalidate_weight_packs();
   ++injections_;
   if constexpr (trace::kEnabled) {
     if (sink_ != nullptr) {
       std::int64_t coords[4];
-      weight_coords(param.value, flat, coords);
+      weight_coords(w, flat, coords);
       emit_event(trace::FaultKind::kPersist, layer, coords, flat, pre, post,
                  model_name, qparams, time);
     }
@@ -575,7 +529,7 @@ void FaultInjector::commit_persistent_write(std::int64_t layer,
 FaultInjector::PersistentWrite FaultInjector::write_persistent_bit(
     std::int64_t layer, std::int64_t flat, int bit, int op, std::uint64_t time,
     const std::string& model_name) {
-  Tensor& w = weight_param(layer).value;  // validates the layer
+  Tensor& w = this->layer(layer).weight().value;
   PFI_CHECK(flat >= 0 && flat < w.numel())
       << "persistent write at flat index " << flat
       << " out of range for layer " << layer << " weights " << w.to_string();
@@ -594,7 +548,7 @@ void FaultInjector::write_persistent_value(std::int64_t layer,
                                            std::int64_t flat, float value,
                                            std::uint64_t time,
                                            const std::string& model_name) {
-  Tensor& w = weight_param(layer).value;
+  Tensor& w = this->layer(layer).weight().value;
   PFI_CHECK(flat >= 0 && flat < w.numel())
       << "persistent write at flat index " << flat
       << " out of range for layer " << layer << " weights " << w.to_string();
@@ -604,7 +558,7 @@ void FaultInjector::write_persistent_value(std::int64_t layer,
 
 void FaultInjector::register_stuck_bit(std::int64_t layer, std::int64_t flat,
                                        int bit, int value) {
-  const Tensor& w = weight_param(layer).value;
+  const Tensor& w = this->layer(layer).weight().value;
   PFI_CHECK(flat >= 0 && flat < w.numel())
       << "stuck bit at flat index " << flat << " out of range for layer "
       << layer << " weights " << w.to_string();
@@ -618,7 +572,8 @@ void FaultInjector::register_stuck_bit(std::int64_t layer, std::int64_t flat,
 
 void FaultInjector::reassert_stuck_bits() {
   for (const StuckBit& s : stuck_bits_) {
-    Tensor& w = weight_param(s.layer).value;
+    nn::GemmLayer& m = this->layer(s.layer);
+    Tensor& w = m.weight().value;
     const float pre = w[s.flat];
     const float post =
         force_bit(pre, s.bit, s.value,
@@ -626,7 +581,7 @@ void FaultInjector::reassert_stuck_bits() {
                   persistent_qparams(s.layer, s.flat));
     if (float_to_bits(post) == float_to_bits(pre)) continue;  // already stuck
     w[s.flat] = post;
-    invalidate_module_packs(*layers_[static_cast<std::size_t>(s.layer)]);
+    m.invalidate_weight_packs();
   }
 }
 
@@ -634,8 +589,8 @@ void FaultInjector::heal_persistent_faults() {
   // Forget the registrations FIRST so nothing re-asserts over the restore.
   stuck_bits_.clear();
   for (auto it = persist_undo_.rbegin(); it != persist_undo_.rend(); ++it) {
-    it->param->value[it->flat] = it->original;
-    invalidate_module_packs(*it->owner);
+    it->layer->weight().value[it->flat] = it->original;
+    it->layer->invalidate_weight_packs();
   }
   persist_undo_.clear();
 }
@@ -662,10 +617,10 @@ FaultInjector::ReusePlan FaultInjector::reuse_plan() const {
   // weights the write never touched.
   std::size_t limit = prefix_cache_->num_events();
   for (const WeightUndo& undo : weight_undo_) {
-    limit = std::min(limit, first_idx(undo.owner));
+    limit = std::min(limit, first_idx(undo.layer));
   }
   for (const WeightUndo& undo : persist_undo_) {
-    limit = std::min(limit, first_idx(undo.owner));
+    limit = std::min(limit, first_idx(undo.layer));
   }
   std::size_t neuron_min = PrefixCache::kNoEvent;
   std::int64_t neuron_layer = -1;
@@ -803,10 +758,11 @@ void FaultInjector::hook_body(std::int64_t layer_index, const Tensor& input,
   if (profiler_ != nullptr) profiler_->observe_input(layer_index, input.data());
 
   // Output-grid projection, for native and emulated layers alike: a native
-  // layer's raw output (requantized i32 accumulators, or widened 16-bit
-  // arithmetic) is not itself on the layer dtype's grid, and injections must
-  // land in the SAME output-quantized domain either way — that uniformity is
-  // what makes native-vs-emulated flip semantics comparable bit-for-bit.
+  // layer's raw output (requantized i32 accumulators, or fp32 arithmetic
+  // over 16-bit-rounded operands) is not itself on the layer dtype's grid,
+  // and injections must land in the SAME output-quantized domain either
+  // way — that uniformity is what makes native-vs-emulated flip semantics
+  // comparable bit-for-bit.
   quant::QuantParams qp;
   switch (dt) {
     case DType::kFloat32:

@@ -49,8 +49,8 @@ struct LayerResolution {
   std::string layer;  ///< dotted module path, e.g. "features.3"
   DType dtype = DType::kFloat32;
   /// True: the layer EXECUTES in the low-precision representation (INT8
-  /// GEMM over quantized codes, or fp16/bf16-stored weights/activations
-  /// widened through the fp32 kernel). False: fp32 execution with the
+  /// GEMM over quantized codes, or weights/activations rounded through
+  /// fp16/bf16 storage into the fp32 kernel). False: fp32 execution with the
   /// injector's output-grid emulation only.
   bool native = false;
 };
@@ -64,8 +64,8 @@ struct FiConfig {
   /// LayerResolution::native). Ignored for kFloat32, which always runs
   /// natively by definition.
   bool native = false;
-  /// Per-layer resolution overrides; each entry must name an instrumented
-  /// layer's dotted path (checked at construction).
+  /// Per-layer resolution overrides; each entry must name a different
+  /// instrumented layer's dotted path (both checked at construction).
   std::vector<LayerResolution> per_layer = {};
   bool instrument_linear = false;  ///< extension: also hook Linear layers
   std::uint64_t seed = 0xf15eedull;
@@ -135,8 +135,9 @@ class FaultInjector {
   }
   /// Output shape [N, C, H, W] of instrumented layer i (from profiling).
   const Shape& layer_shape(std::int64_t layer) const;
-  /// The instrumented module itself.
-  nn::Module& layer(std::int64_t i) const;
+  /// The instrumented layer itself: a Conv2d, or a Linear when
+  /// FiConfig::instrument_linear is set.
+  nn::GemmLayer& layer(std::int64_t i) const;
   /// Total neuron count across all instrumented layers (one batch element).
   std::int64_t total_neurons() const { return total_neurons_; }
 
@@ -282,10 +283,7 @@ class FaultInjector {
   /// what executing the injection would produce. Meaningful only after a
   /// kRecordGolden forward; default-constructed before one.
   quant::QuantParams golden_qparams(std::int64_t layer) const {
-    PFI_CHECK(layer >= 0 && layer < num_layers())
-        << "golden_qparams layer " << layer << " out of range [0, "
-        << num_layers() << ")";
-    return golden_qp_[static_cast<std::size_t>(layer)];
+    return golden_qp_[checked_layer(layer)];
   }
 
   // -- Introspection ----------------------------------------------------------------
@@ -325,14 +323,12 @@ class FaultInjector {
     ErrorModel model;
     FaultScope scope = FaultScope::kNeuron;
   };
+  /// One mutated weight: restore writes `original` back into `layer`'s
+  /// weight at `flat` and drops the layer's stale packed-weight panels.
   struct WeightUndo {
-    nn::Parameter* param;
+    nn::GemmLayer* layer;
     std::int64_t flat;
     float original;
-    // The owning layer (Conv2d, or Linear for persistent writes), so restore
-    // can also drop its stale packed-weight panels (the blocked-GEMM cache
-    // keyed on the weight bits).
-    nn::Module* owner;
   };
   struct StuckBit {
     std::int64_t layer;
@@ -386,9 +382,9 @@ class FaultInjector {
                   float pre, float post, const std::string& model_name,
                   const quant::QuantParams& qparams, std::uint64_t time = 0);
 
-  /// The weight parameter of instrumented layer i; checks the layer is
-  /// weight-bearing (Conv2d, or Linear when instrumented).
-  nn::Parameter& weight_param(std::int64_t layer) const;
+  /// `i` as an index into the per-layer tables; throws pfi::Error naming
+  /// the index and the layer count when it is out of range.
+  std::size_t checked_layer(std::int64_t i) const;
 
   /// Quantization params a persistent write on (layer, flat) operates under
   /// when the layer resolves to INT8: the frozen per-channel deployed scale
@@ -396,9 +392,6 @@ class FaultInjector {
   /// emulated ones. Default-constructed for float dtypes.
   quant::QuantParams persistent_qparams(std::int64_t layer,
                                         std::int64_t flat) const;
-
-  /// Drop `module`'s packed-weight caches (Conv2d or Linear dispatch).
-  static void invalidate_module_packs(nn::Module& module);
 
   /// Shared body of the persistent-write entry points: record the undo
   /// entry, store `post`, invalidate packs, bump the counter, emit the
@@ -409,8 +402,9 @@ class FaultInjector {
                                const quant::QuantParams& qparams);
 
   /// Resolve config_.{dtype, native, per_layer} into layer_dtype_ /
-  /// layer_native_ and switch native layers' modules into their
-  /// low-precision execution mode (frozen per-channel INT8 scales computed
+  /// layer_native_ (refusing a per-layer entry that names no instrumented
+  /// layer or a layer already named) and switch native layers' modules into
+  /// their low-precision execution mode (frozen per-channel INT8 scales computed
   /// from the CURRENT — golden — weights, so a later weight fault flips one
   /// deployed code without re-calibrating its channel).
   void apply_native_modes();
@@ -420,7 +414,7 @@ class FaultInjector {
 
   std::shared_ptr<nn::Module> model_;
   FiConfig config_;
-  std::vector<nn::Module*> layers_;
+  std::vector<nn::GemmLayer*> layers_;
   std::vector<std::string> layer_paths_;
   std::vector<DType> layer_dtype_;       // per instrumented layer
   std::vector<std::uint8_t> layer_native_;

@@ -81,10 +81,7 @@ void PersistentFaultSet::draw_stuck_cells() {
   std::uint64_t total_bits = 0;
   std::vector<std::uint64_t> layer_bits;
   for (const std::int64_t l : layers_) {
-    nn::Module& m = fi_.layer(l);
-    const Tensor& w = m.kind() == "Conv2d"
-                          ? static_cast<nn::Conv2d&>(m).weight().value
-                          : static_cast<nn::Linear&>(m).weight().value;
+    const Tensor& w = fi_.layer(l).weight().value;
     const auto bits = static_cast<std::uint64_t>(w.numel()) *
                       static_cast<std::uint64_t>(
                           dtype_bit_width(fi_.layer_dtype(l)));
@@ -119,10 +116,7 @@ void PersistentFaultSet::draw_stuck_cells() {
 void PersistentFaultSet::apply_event(std::uint64_t t) {
   if (t == 0 && scenario_.stuck_bits > 0) draw_stuck_cells();
   for (const std::int64_t l : layers_) {
-    nn::Module& m = fi_.layer(l);
-    const Tensor& w = m.kind() == "Conv2d"
-                          ? static_cast<nn::Conv2d&>(m).weight().value
-                          : static_cast<nn::Linear&>(m).weight().value;
+    const Tensor& w = fi_.layer(l).weight().value;
     const int width = dtype_bit_width(fi_.layer_dtype(l));
     // Every fault of event t in layer l derives from this one generator —
     // a pure function of (seed, t, l), independent of threads or resume.

@@ -641,23 +641,16 @@ std::vector<Stratum> make_strata(const FaultInjector& fi, std::int64_t layer) {
 
 std::vector<bool> relu_adjacent_layers(FaultInjector& fi) {
   std::vector<bool> out(static_cast<std::size_t>(fi.num_layers()), false);
-  for (nn::Module* m : fi.model().modules()) {
-    if (m->kind() != "Sequential") continue;
-    const std::vector<nn::Module*> children = m->children();
-    for (std::size_t i = 0; i + 1 < children.size(); ++i) {
-      if (children[i + 1]->kind() != "ReLU") continue;
-      // A fused producer rectifies INSIDE its own epilogue and the ReLU
-      // passes through — the injection domain is the post-ReLU output, so
-      // negative injected values are NOT masked downstream and the
-      // masked-fault pruning argument does not apply.
-      if (children[i]->relu_fused_output()) continue;
-      for (std::int64_t l = 0; l < fi.num_layers(); ++l) {
-        if (&fi.layer(l) == children[i]) {
-          out[static_cast<std::size_t>(l)] = true;
-        }
-      }
+  nn::for_each_relu_pair(fi.model(), [&](nn::GemmLayer& producer, nn::ReLU&) {
+    // A fused producer rectifies INSIDE its own epilogue and the ReLU
+    // passes through — the injection domain is the post-ReLU output, so
+    // negative injected values are NOT masked downstream and the
+    // masked-fault pruning argument does not apply.
+    if (producer.relu_fused_output()) return;
+    for (std::int64_t l = 0; l < fi.num_layers(); ++l) {
+      if (&fi.layer(l) == &producer) out[static_cast<std::size_t>(l)] = true;
     }
-  }
+  });
   return out;
 }
 

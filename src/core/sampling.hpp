@@ -143,9 +143,10 @@ std::vector<Stratum> make_strata(const FaultInjector& fi, std::int64_t layer,
 std::vector<Stratum> make_strata(const FaultInjector& fi, std::int64_t layer);
 
 /// Instrumented layers whose output feeds directly (and solely) into a ReLU
-/// — the structural precondition for ReLU-dead pruning. Detected by walking
-/// Sequential containers: layer i qualifies iff it is some Sequential's
-/// child and its immediate next sibling is a ReLU.
+/// — the structural precondition for ReLU-dead pruning. Detected by
+/// nn::for_each_relu_pair's walk over Sequential containers: layer i
+/// qualifies iff its immediate next sibling is a ReLU and the pair is not
+/// currently fused (a fused producer's own output is already rectified).
 std::vector<bool> relu_adjacent_layers(FaultInjector& fi);
 
 /// Run a stratified neuron-bit-flip campaign. Same call shape and

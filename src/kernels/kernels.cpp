@@ -669,39 +669,4 @@ std::uint64_t fingerprint(const float* p, std::int64_t n) {
   return h;
 }
 
-const PackedPanels& WeightPackCache::packed_a(std::int64_t m, std::int64_t k,
-                                              const float* w,
-                                              std::int64_t lda, bool trans_a) {
-  PFI_CHECK((trans_a ? lda == m : lda == k))
-      << "WeightPackCache::packed_a needs a contiguous weight matrix";
-  const std::uint64_t fp = fingerprint(w, m * k);
-  const int mr = g_block.mr;
-  if (valid_ && fp == fp_ && mr_ == mr && packed_.span == m &&
-      packed_.k == k && packed_.panel == mr) {
-    return packed_;
-  }
-  pack_a(m, k, w, lda, trans_a, mr, packed_);
-  fp_ = fp;
-  mr_ = mr;
-  valid_ = true;
-  return packed_;
-}
-
-const PackedPanels& WeightPackCache::packed_b(std::int64_t k, std::int64_t n,
-                                              const float* w,
-                                              std::int64_t ldb, bool trans_b) {
-  PFI_CHECK((trans_b ? ldb == k : ldb == n))
-      << "WeightPackCache::packed_b needs a contiguous weight matrix";
-  const std::uint64_t fp = fingerprint(w, n * k);
-  if (valid_ && fp == fp_ && packed_.span == n && packed_.k == k &&
-      packed_.panel == kNR) {
-    return packed_;
-  }
-  pack_b(k, n, w, ldb, trans_b, packed_);
-  fp_ = fp;
-  mr_ = 0;
-  valid_ = true;
-  return packed_;
-}
-
 }  // namespace pfi::kernels

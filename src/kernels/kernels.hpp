@@ -204,32 +204,4 @@ void max_pool2d(const PoolShape& shape, const float* in, float* out,
 /// injection needs.
 std::uint64_t fingerprint(const float* p, std::int64_t n);
 
-/// Cached packed panels of a module's weight matrix. The pack is reused
-/// while the weight bits are unchanged (verified by fingerprint on every
-/// lookup, so mutation through tensor aliases — the library's injection
-/// mechanism — can never serve a stale pack) and droppable eagerly via
-/// invalidate() (the FaultInjector calls this on every weight-mutation
-/// path so restores free the stale pack immediately).
-class WeightPackCache {
- public:
-  /// Packed A-side panels of w (logical MxK), repacking when the weight
-  /// bits or the configured mr changed.
-  const PackedPanels& packed_a(std::int64_t m, std::int64_t k, const float* w,
-                               std::int64_t lda, bool trans_a);
-
-  /// Packed B-side panels of w (logical KxN).
-  const PackedPanels& packed_b(std::int64_t k, std::int64_t n, const float* w,
-                               std::int64_t ldb, bool trans_b);
-
-  /// Drop the cached pack (weight mutated or about to be restored).
-  void invalidate() { valid_ = false; }
-  bool cached() const { return valid_; }
-
- private:
-  PackedPanels packed_;
-  std::uint64_t fp_ = 0;
-  int mr_ = 0;
-  bool valid_ = false;
-};
-
 }  // namespace pfi::kernels

@@ -1007,89 +1007,15 @@ void requantize_cols_grid(std::int64_t m, std::int64_t n,
   }
 }
 
-// ----------------------------------------------------------- 16-bit packs ----
+// ------------------------------------------------------- 16-bit rounding ----
 
-void pack_a_16(std::int64_t m, std::int64_t k, const float* a,
-               std::int64_t lda, bool trans_a, int mr, Storage16 fmt,
-               PackedPanels16& out) {
-  PFI_CHECK(mr == 4 || mr == 6 || mr == 8)
-      << "pack_a_16 mr must be 4, 6, or 8, got " << mr;
-  const std::int64_t panels = (m + mr - 1) / mr;
-  out.data.resize(static_cast<std::size_t>(panels * mr * k));
-  out.k = k;
-  out.span = m;
-  out.panel = mr;
-  out.fmt = fmt;
-  std::uint16_t* dst = out.data.data();
-  for (std::int64_t ip = 0; ip < panels; ++ip) {
-    std::uint16_t* panel = dst + ip * mr * k;
-    const std::int64_t row0 = ip * mr;
-    const int rows = static_cast<int>(std::min<std::int64_t>(mr, m - row0));
-    for (int r = 0; r < rows; ++r) {
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        const float v =
-            trans_a ? a[kk * lda + row0 + r] : a[(row0 + r) * lda + kk];
-        panel[kk * mr + r] = narrow16(v, fmt);
-      }
-    }
-    for (int r = rows; r < mr; ++r) {
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        panel[kk * mr + r] = narrow16(0.0f, fmt);
-      }
-    }
+void round16(const float* src, std::int64_t n, Storage16 fmt, float* dst) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    dst[i] = widen16(narrow16(src[i], fmt), fmt);
   }
 }
 
-void pack_b_16(std::int64_t k, std::int64_t n, const float* b,
-               std::int64_t ldb, bool trans_b, Storage16 fmt,
-               PackedPanels16& out) {
-  const std::int64_t panels = (n + kNR - 1) / kNR;
-  out.data.resize(static_cast<std::size_t>(panels * kNR * k));
-  out.k = k;
-  out.span = n;
-  out.panel = kNR;
-  out.fmt = fmt;
-  std::uint16_t* dst = out.data.data();
-  for (std::int64_t jp = 0; jp < panels; ++jp) {
-    std::uint16_t* panel = dst + jp * kNR * k;
-    const std::int64_t col0 = jp * kNR;
-    const int cols = static_cast<int>(std::min<std::int64_t>(kNR, n - col0));
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      for (int c = 0; c < cols; ++c) {
-        const float v =
-            trans_b ? b[(col0 + c) * ldb + kk] : b[kk * ldb + col0 + c];
-        panel[kk * kNR + c] = narrow16(v, fmt);
-      }
-      for (int c = cols; c < kNR; ++c) {
-        panel[kk * kNR + c] = narrow16(0.0f, fmt);
-      }
-    }
-  }
-}
-
-void widen_pack(const PackedPanels16& in, PackedPanels& out) {
-  out.data.resize(in.data.size());
-  out.k = in.k;
-  out.span = in.span;
-  out.panel = in.panel;
-  for (std::size_t i = 0; i < in.data.size(); ++i) {
-    out.data[i] = widen16(in.data[i], in.fmt);
-  }
-}
-
-void narrow_buffer(const float* src, std::int64_t n, Storage16 fmt,
-                   std::vector<std::uint16_t>& dst) {
-  dst.resize(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) dst[i] = narrow16(src[i], fmt);
-}
-
-void widen_buffer(const std::uint16_t* src, std::int64_t n, Storage16 fmt,
-                  std::vector<float>& dst) {
-  dst.resize(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) dst[i] = widen16(src[i], fmt);
-}
-
-// -------------------------------------------------------------- the cache ----
+// --------------------------------------------------------- the pack cache ----
 
 namespace {
 
@@ -1103,80 +1029,68 @@ std::uint64_t fp_with_scales(const float* w, std::int64_t wn,
 
 }  // namespace
 
-const PackedPanelsI8& LowPrecPackCache::packed_a_i8(
+const PackedPanels& WeightPackCache::packed_a(std::int64_t m, std::int64_t k,
+                                              const float* w,
+                                              std::int64_t lda, bool trans_a,
+                                              std::optional<Storage16> round) {
+  PFI_CHECK((trans_a ? lda == m : lda == k))
+      << "WeightPackCache::packed_a needs a contiguous weight matrix";
+  const Key key{fingerprint(w, m * k), m, k, block_config().mr, round};
+  if (f32_key_ != key) {
+    pack_a(m, k, w, lda, trans_a, key.panel, f32_);
+    if (round) {
+      round16(f32_.data.data(), static_cast<std::int64_t>(f32_.data.size()),
+              *round, f32_.data.data());
+    }
+    f32_key_ = key;
+  }
+  return f32_;
+}
+
+const PackedPanels& WeightPackCache::packed_b(std::int64_t k, std::int64_t n,
+                                              const float* w,
+                                              std::int64_t ldb, bool trans_b,
+                                              std::optional<Storage16> round) {
+  PFI_CHECK((trans_b ? ldb == k : ldb == n))
+      << "WeightPackCache::packed_b needs a contiguous weight matrix";
+  const Key key{fingerprint(w, n * k), n, k, kNR, round};
+  if (f32_key_ != key) {
+    pack_b(k, n, w, ldb, trans_b, f32_);
+    if (round) {
+      round16(f32_.data.data(), static_cast<std::int64_t>(f32_.data.size()),
+              *round, f32_.data.data());
+    }
+    f32_key_ = key;
+  }
+  return f32_;
+}
+
+const PackedPanelsI8& WeightPackCache::packed_a_i8(
     std::int64_t m, std::int64_t k, const float* w, std::int64_t lda,
     bool trans_a, const float* row_scales) {
   PFI_CHECK((trans_a ? lda == m : lda == k))
-      << "LowPrecPackCache::packed_a_i8 needs a contiguous weight matrix";
-  const std::uint64_t fp = fp_with_scales(w, m * k, row_scales, m);
-  const int mr = block_config().mr;
-  if (i8_valid_ && fp == i8_fp_ && i8_mr_ == mr && i8_.span == m &&
-      i8_.k == k && i8_.panel == mr) {
-    return i8_;
+      << "WeightPackCache::packed_a_i8 needs a contiguous weight matrix";
+  const Key key{fp_with_scales(w, m * k, row_scales, m), m, k,
+                block_config().mr, std::nullopt};
+  if (i8_key_ != key) {
+    quantize_pack_a_i8(m, k, w, lda, trans_a, key.panel, row_scales, i8_);
+    i8_key_ = key;
   }
-  quantize_pack_a_i8(m, k, w, lda, trans_a, mr, row_scales, i8_);
-  i8_fp_ = fp;
-  i8_mr_ = mr;
-  i8_valid_ = true;
   return i8_;
 }
 
-const PackedPanelsI8& LowPrecPackCache::packed_b_i8(
+const PackedPanelsI8& WeightPackCache::packed_b_i8(
     std::int64_t k, std::int64_t n, const float* w, std::int64_t ldb,
     bool trans_b, const float* col_scales) {
   PFI_CHECK((trans_b ? ldb == k : ldb == n))
-      << "LowPrecPackCache::packed_b_i8 needs a contiguous weight matrix";
-  const std::uint64_t fp = fp_with_scales(w, n * k, col_scales, n);
-  if (i8_valid_ && fp == i8_fp_ && i8_mr_ == 0 && i8_.span == n &&
-      i8_.k == k && i8_.panel == kNR) {
-    return i8_;
+      << "WeightPackCache::packed_b_i8 needs a contiguous weight matrix";
+  const Key key{fp_with_scales(w, n * k, col_scales, n), n, k, kNR,
+                std::nullopt};
+  if (i8_key_ != key) {
+    quantize_pack_b_i8(k, n, w, ldb, trans_b, col_scales, i8_);
+    i8_key_ = key;
   }
-  quantize_pack_b_i8(k, n, w, ldb, trans_b, col_scales, i8_);
-  i8_fp_ = fp;
-  i8_mr_ = 0;
-  i8_valid_ = true;
   return i8_;
-}
-
-const PackedPanels16& LowPrecPackCache::packed_a_16(std::int64_t m,
-                                                    std::int64_t k,
-                                                    const float* w,
-                                                    std::int64_t lda,
-                                                    bool trans_a,
-                                                    Storage16 fmt) {
-  PFI_CHECK((trans_a ? lda == m : lda == k))
-      << "LowPrecPackCache::packed_a_16 needs a contiguous weight matrix";
-  const std::uint64_t fp = fingerprint(w, m * k);
-  const int mr = block_config().mr;
-  if (h_valid_ && fp == h_fp_ && h_mr_ == mr && h_.span == m && h_.k == k &&
-      h_.panel == mr && h_.fmt == fmt) {
-    return h_;
-  }
-  pack_a_16(m, k, w, lda, trans_a, mr, fmt, h_);
-  h_fp_ = fp;
-  h_mr_ = mr;
-  h_valid_ = true;
-  return h_;
-}
-
-const PackedPanels16& LowPrecPackCache::packed_b_16(std::int64_t k,
-                                                    std::int64_t n,
-                                                    const float* w,
-                                                    std::int64_t ldb,
-                                                    bool trans_b,
-                                                    Storage16 fmt) {
-  PFI_CHECK((trans_b ? ldb == k : ldb == n))
-      << "LowPrecPackCache::packed_b_16 needs a contiguous weight matrix";
-  const std::uint64_t fp = fingerprint(w, n * k);
-  if (h_valid_ && fp == h_fp_ && h_mr_ == 0 && h_.span == n && h_.k == k &&
-      h_.panel == kNR && h_.fmt == fmt) {
-    return h_;
-  }
-  pack_b_16(k, n, w, ldb, trans_b, fmt, h_);
-  h_fp_ = fp;
-  h_mr_ = 0;
-  h_valid_ = true;
-  return h_;
 }
 
 }  // namespace pfi::kernels

@@ -32,17 +32,21 @@
 //
 // fp16/bf16 storage
 // -----------------
-// Weights and activations are stored as 16-bit codes (IEEE binary16 or
-// bfloat16, via the software converters in util/bits.hpp) and widened back
-// to fp32 on the fly for the existing fp32 microkernels. Widening is exact,
-// so the result equals the fp32 GEMM over the pre-narrowed operands and
-// inherits every fp32 determinism guarantee.
+// Weights, activations and bias take only values a 16-bit code can hold
+// (IEEE binary16 or bfloat16, via the software converters in
+// util/bits.hpp): each is rounded once through its format by round16
+// (narrow, then widen — widening is exact) and fed to the existing fp32
+// microkernels. The weight is rounded when WeightPackCache builds its fp32
+// pack, so a cache hit costs no conversion; activations and bias are
+// rounded on every forward. The result equals the fp32 GEMM over the
+// pre-narrowed operands and inherits every fp32 determinism guarantee.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "kernels/kernels.hpp"
@@ -235,45 +239,34 @@ inline float widen16(std::uint16_t h, Storage16 fmt) {
                                  : float_from_bf16_bits(h);
 }
 
-/// A matrix stored as 16-bit codes in fp32 panel layout (same indexing as
-/// PackedPanels, element type uint16).
-struct PackedPanels16 {
-  std::vector<std::uint16_t> data;
-  std::int64_t k = 0;
-  std::int64_t span = 0;
-  int panel = 0;
-  Storage16 fmt = Storage16::kFp16;
-  bool empty() const { return data.empty(); }
-};
+/// Round n floats through 16-bit storage: dst[i] = widen16(narrow16(src[i]))
+/// — the exact fp32 image of each stored code. `dst` may equal `src`.
+void round16(const float* src, std::int64_t n, Storage16 fmt, float* dst);
 
-/// Narrow + pack logical A(MxK) / B(KxN) into 16-bit panels (the layouts of
-/// pack_a / pack_b with u16 elements).
-void pack_a_16(std::int64_t m, std::int64_t k, const float* a,
-               std::int64_t lda, bool trans_a, int mr, Storage16 fmt,
-               PackedPanels16& out);
-void pack_b_16(std::int64_t k, std::int64_t n, const float* b,
-               std::int64_t ldb, bool trans_b, Storage16 fmt,
-               PackedPanels16& out);
-
-/// Widen a 16-bit pack back to fp32 panels (exact, layout-preserving) for
-/// the existing fp32 microkernels.
-void widen_pack(const PackedPanels16& in, PackedPanels& out);
-
-/// Narrow a contiguous fp32 buffer to 16-bit storage / widen it back — the
-/// activation storage path.
-void narrow_buffer(const float* src, std::int64_t n, Storage16 fmt,
-                   std::vector<std::uint16_t>& dst);
-void widen_buffer(const std::uint16_t* src, std::int64_t n, Storage16 fmt,
-                  std::vector<float>& dst);
-
-/// Cached low-precision packs of a module's weight matrix — the quantized
-/// counterpart of WeightPackCache. Each representation keeps its OWN
-/// fingerprint (over the weight bits and, for INT8, the scales), so weight
-/// mutation through tensor aliases can never serve a stale quantized pack,
-/// and invalidate() (called by the FaultInjector on every weight-mutation
-/// path) drops every representation at once.
-class LowPrecPackCache {
+/// Cached packs of one weight matrix: an fp32 slot (the blocked GEMM's
+/// panels, optionally rounded once through a 16-bit storage format) and an
+/// INT8 slot (per-row or per-column quantized panels). Each slot is reused
+/// while its key — the weight fingerprint (plus the scales for INT8), the
+/// panel side and shape, and the rounding format — is unchanged. The
+/// fingerprint is re-checked on every lookup, so mutation through tensor
+/// aliases (the library's injection mechanism) can never serve a stale
+/// pack; invalidate() (called on every FaultInjector weight-mutation path)
+/// drops both slots at once.
+class WeightPackCache {
  public:
+  /// fp32 A-side panels of w (logical MxK, contiguous). With `round` set,
+  /// every packed element is rounded through that 16-bit format — the
+  /// native fp16/bf16 weight operand, bit-equal to packing its codes and
+  /// widening them.
+  const PackedPanels& packed_a(std::int64_t m, std::int64_t k, const float* w,
+                               std::int64_t lda, bool trans_a,
+                               std::optional<Storage16> round = std::nullopt);
+
+  /// fp32 B-side panels of w (logical KxN, contiguous).
+  const PackedPanels& packed_b(std::int64_t k, std::int64_t n, const float* w,
+                               std::int64_t ldb, bool trans_b,
+                               std::optional<Storage16> round = std::nullopt);
+
   /// Per-row-quantized INT8 A-side panels (conv weights; row_scales size m).
   const PackedPanelsI8& packed_a_i8(std::int64_t m, std::int64_t k,
                                     const float* w, std::int64_t lda,
@@ -284,29 +277,28 @@ class LowPrecPackCache {
                                     const float* w, std::int64_t ldb,
                                     bool trans_b, const float* col_scales);
 
-  /// 16-bit-storage A-side / B-side panels.
-  const PackedPanels16& packed_a_16(std::int64_t m, std::int64_t k,
-                                    const float* w, std::int64_t lda,
-                                    bool trans_a, Storage16 fmt);
-  const PackedPanels16& packed_b_16(std::int64_t k, std::int64_t n,
-                                    const float* w, std::int64_t ldb,
-                                    bool trans_b, Storage16 fmt);
-
+  /// Drop both packs (weight mutated or about to be restored).
   void invalidate() {
-    i8_valid_ = false;
-    h_valid_ = false;
+    f32_key_.reset();
+    i8_key_.reset();
   }
-  bool cached() const { return i8_valid_ || h_valid_; }
 
  private:
+  /// What a cached pack was built from. `panel` is mr for A-side packs and
+  /// kNR for B-side packs (mr is 4, 6 or 8), so it also names the side.
+  struct Key {
+    std::uint64_t fp = 0;
+    std::int64_t span = 0;
+    std::int64_t k = 0;
+    int panel = 0;
+    std::optional<Storage16> round;
+    bool operator==(const Key&) const = default;
+  };
+
+  PackedPanels f32_;
+  std::optional<Key> f32_key_;
   PackedPanelsI8 i8_;
-  std::uint64_t i8_fp_ = 0;
-  int i8_mr_ = 0;  ///< 0 marks a B-side pack
-  bool i8_valid_ = false;
-  PackedPanels16 h_;
-  std::uint64_t h_fp_ = 0;
-  int h_mr_ = 0;
-  bool h_valid_ = false;
+  std::optional<Key> i8_key_;
 };
 
 }  // namespace pfi::kernels

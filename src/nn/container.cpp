@@ -1,11 +1,9 @@
 #include "nn/container.hpp"
 
 #include <algorithm>
-#include <functional>
 
-#include "nn/conv2d.hpp"
+#include "nn/gemm_layer.hpp"
 #include "nn/layers.hpp"
-#include "nn/linear.hpp"
 
 namespace pfi::nn {
 
@@ -183,51 +181,34 @@ std::vector<Module*> Concat::children() {
 
 // ---------------------------------------------------------- ReLU fusion ------
 
-namespace {
-
-/// Apply `wire` to every adjacent (Conv2d|Linear, ReLU) pair found inside
-/// the tree's Sequential containers. Only Sequential expresses "runs
-/// immediately after" structurally, so that is where adjacency is read.
 int for_each_relu_pair(Module& root,
-                       const std::function<void(Module&, ReLU&)>& wire) {
+                       const std::function<void(GemmLayer&, ReLU&)>& fn) {
   int pairs = 0;
   for (Module* m : root.modules()) {
     auto* seq = dynamic_cast<Sequential*>(m);
     if (seq == nullptr) continue;
     const std::vector<Module*> children = seq->children();
     for (std::size_t i = 0; i + 1 < children.size(); ++i) {
+      auto* producer = dynamic_cast<GemmLayer*>(children[i]);
       auto* relu = dynamic_cast<ReLU*>(children[i + 1]);
-      if (relu == nullptr) continue;
-      if (children[i]->kind() != "Conv2d" && children[i]->kind() != "Linear") {
-        continue;
-      }
-      wire(*children[i], *relu);
+      if (producer == nullptr || relu == nullptr) continue;
+      fn(*producer, *relu);
       ++pairs;
     }
   }
   return pairs;
 }
 
-}  // namespace
-
 int fuse_relu(Module& root) {
-  return for_each_relu_pair(root, [](Module& producer, ReLU& relu) {
-    if (auto* conv = dynamic_cast<Conv2d*>(&producer)) {
-      conv->set_fuse_relu(true);
-    } else if (auto* linear = dynamic_cast<Linear*>(&producer)) {
-      linear->set_fuse_relu(true);
-    }
+  return for_each_relu_pair(root, [](GemmLayer& producer, ReLU& relu) {
+    producer.set_fuse_relu(true);
     relu.set_producer(&producer);
   });
 }
 
 int unfuse_relu(Module& root) {
-  return for_each_relu_pair(root, [](Module& producer, ReLU& relu) {
-    if (auto* conv = dynamic_cast<Conv2d*>(&producer)) {
-      conv->set_fuse_relu(false);
-    } else if (auto* linear = dynamic_cast<Linear*>(&producer)) {
-      linear->set_fuse_relu(false);
-    }
+  return for_each_relu_pair(root, [](GemmLayer& producer, ReLU& relu) {
+    producer.set_fuse_relu(false);
     relu.set_producer(nullptr);
   });
 }

@@ -6,6 +6,7 @@
 // convolutions buried arbitrarily deep inside a model.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <utility>
 
@@ -79,13 +80,23 @@ class Concat final : public Module {
   std::vector<std::int64_t> branch_channels_;  // from the last forward
 };
 
-/// Wire every adjacent (Conv2d|Linear, ReLU) pair inside the tree's
-/// Sequential containers for fused rectification: the producer gets
-/// set_fuse_relu(true) and the ReLU learns its producer. Wiring is
-/// structural and cheap — whether a given forward actually fuses is decided
-/// per call by the producer's relu_fused_output() gate (hooks, mode, native
-/// path), and the model computes bit-identical outputs either way. Returns
-/// the number of pairs wired.
+class GemmLayer;
+class ReLU;
+
+/// Call `fn` on every adjacent (GemmLayer, ReLU) pair — a Conv2d or Linear
+/// immediately followed by a ReLU — inside the tree's Sequential
+/// containers. Only Sequential expresses "runs immediately after"
+/// structurally, so that is where adjacency is read. Returns the number of
+/// pairs visited.
+int for_each_relu_pair(Module& root,
+                       const std::function<void(GemmLayer&, ReLU&)>& fn);
+
+/// Wire every adjacent (GemmLayer, ReLU) pair for fused rectification: the
+/// producer gets set_fuse_relu(true) and the ReLU learns its producer.
+/// Wiring is structural and cheap — whether a given forward actually fuses
+/// is decided per call by the producer's relu_fused_output() gate (hooks,
+/// mode, native path), and the model computes bit-identical outputs either
+/// way. Returns the number of pairs wired.
 int fuse_relu(Module& root);
 
 /// Undo fuse_relu across the tree (producers unmarked, ReLUs detached).

@@ -1,7 +1,5 @@
 #include "nn/conv2d.hpp"
 
-#include <cmath>
-
 #include "nn/init.hpp"
 
 namespace pfi::nn {
@@ -17,53 +15,10 @@ Conv2d::Conv2d(Conv2dOptions opts, Rng& rng) : opts_(opts) {
       << "Conv2d groups=" << opts_.groups << " must divide in="
       << opts_.in_channels << " and out=" << opts_.out_channels;
 
-  packed_.resize(static_cast<std::size_t>(opts_.groups));
   const auto cin_g = opts_.in_channels / opts_.groups;
-  weight_.name = "weight";
-  weight_.value =
-      Tensor({opts_.out_channels, cin_g, opts_.kernel, opts_.kernel});
-  weight_.grad = Tensor(weight_.value.shape());
+  init_parameters({opts_.out_channels, cin_g, opts_.kernel, opts_.kernel},
+                  opts_.bias, opts_.groups);
   kaiming_normal_(weight_.value, cin_g * opts_.kernel * opts_.kernel, rng);
-  if (opts_.bias) {
-    bias_.name = "bias";
-    bias_.value = Tensor({opts_.out_channels});
-    bias_.grad = Tensor({opts_.out_channels});
-  }
-}
-
-std::vector<Parameter*> Conv2d::local_parameters() {
-  std::vector<Parameter*> out{&weight_};
-  if (opts_.bias) out.push_back(&bias_);
-  return out;
-}
-
-void Conv2d::set_native_dtype(kernels::LowPrec native,
-                              std::vector<float> out_channel_scales) {
-  PFI_CHECK(out_channel_scales.empty() || native == kernels::LowPrec::kInt8)
-      << kind() << "::set_native_dtype: channel scales only apply to kInt8";
-  PFI_CHECK(out_channel_scales.empty() ||
-            out_channel_scales.size() ==
-                static_cast<std::size_t>(opts_.out_channels))
-      << kind() << "::set_native_dtype: got " << out_channel_scales.size()
-      << " channel scales for " << opts_.out_channels << " output channels";
-  for (const float s : out_channel_scales) {
-    PFI_CHECK(std::isfinite(s) && s > 0.0f)
-        << kind() << "::set_native_dtype: channel scale " << s
-        << " must be finite and positive";
-  }
-  native_ = native;
-  native_scales_ = std::move(out_channel_scales);
-  for (auto& p : lowp_packed_) p.invalidate();
-}
-
-void Conv2d::set_static_act(float in_scale, float out_scale) {
-  PFI_CHECK(std::isfinite(in_scale) && in_scale > 0.0f &&
-            std::isfinite(out_scale) && out_scale > 0.0f)
-      << kind() << "::set_static_act: scales in=" << in_scale
-      << " out=" << out_scale << " must be finite and positive";
-  static_act_ = true;
-  static_in_scale_ = in_scale;
-  static_out_scale_ = out_scale;
 }
 
 void Conv2d::im2col(const Tensor& input, std::int64_t n, std::int64_t group,
@@ -180,9 +135,13 @@ Tensor Conv2d::forward(const Tensor& input) {
   if (native_ == kernels::LowPrec::kInt8) {
     return forward_int8(input, h_out, w_out);
   }
-  if (native_ != kernels::LowPrec::kNone) {
-    return forward_16(input, h_out, w_out);
-  }
+  // Native fp16/bf16 is this fp32 forward over operands rounded through
+  // the 16-bit format: the weight once, when its pack is built (so it always
+  // runs the blocked kernel), the column matrix and bias on every forward.
+  // Rounding is exact, so the result equals the fp32 GEMM over pre-narrowed
+  // operands and inherits the fp32 determinism guarantees.
+  std::optional<kernels::Storage16> round;
+  if (native_ != kernels::LowPrec::kNone) round = storage16();
   const auto g = opts_.groups;
   const auto cin_g = opts_.in_channels / g;
   const auto cout_g = opts_.out_channels / g;
@@ -193,16 +152,18 @@ Tensor Conv2d::forward(const Tensor& input) {
   Tensor col({col_rows, spatial});
   // Weight viewed per group as [cout_g, col_rows]: the GEMM's A operand.
   const Tensor w_mat = weight_.value.reshape({opts_.out_channels, col_rows});
-  const bool blocked = kernels::active_impl() == kernels::Impl::kBlocked;
+  const bool blocked =
+      round || kernels::active_impl() == kernels::Impl::kBlocked;
   // Fused conv->ReLU fast path: when the gate is open (no forward hook
   // needs the pre-activation, eval mode) the GEMM epilogue rectifies the
   // finished tiles and the downstream ReLU passes through — bit-identical
   // to the unfused pair (kernels.hpp, kReluZero).
   const bool fuse = relu_fused_output();
   const auto epilogue =
-      opts_.bias
+      has_bias_
           ? (fuse ? kernels::Epilogue::kReluBiasRow : kernels::Epilogue::kBiasRow)
           : (fuse ? kernels::Epilogue::kReluZero : kernels::Epilogue::kZero);
+  std::vector<float> bias_r(static_cast<std::size_t>(round ? cout_g : 0));
 
   // Group-outer so the packed weight panels are looked up once per group
   // (cache hit: a fingerprint check; miss: one repack) and reused across the
@@ -210,24 +171,28 @@ Tensor Conv2d::forward(const Tensor& input) {
   for (std::int64_t grp = 0; grp < g; ++grp) {
     const auto* wp = w_mat.data().data() + grp * cout_g * col_rows;
     const float* bp =
-        opts_.bias ? bias_.value.data().data() + grp * cout_g : nullptr;
+        has_bias_ ? bias_.value.data().data() + grp * cout_g : nullptr;
+    if (round && bp != nullptr) {
+      kernels::round16(bp, cout_g, *round, bias_r.data());
+      bp = bias_r.data();
+    }
     const kernels::PackedPanels* pa = nullptr;
     if (blocked) {
-      pa = &packed_[static_cast<std::size_t>(grp)].packed_a(
-          cout_g, col_rows, wp, col_rows, false);
+      pa = &packs_[static_cast<std::size_t>(grp)].packed_a(
+          cout_g, col_rows, wp, col_rows, false, round);
     }
     for (std::int64_t n = 0; n < n_batch; ++n) {
       im2col(input, n, grp, h_out, w_out, col);
+      float* cp = col.data().data();
+      if (round) kernels::round16(cp, col_rows * spatial, *round, cp);
       auto* op = output.data().data() +
                  (n * opts_.out_channels + grp * cout_g) * spatial;
       if (blocked) {
-        kernels::gemm_prepacked_a(cout_g, spatial, col_rows, *pa,
-                                  col.data().data(), spatial, false, op,
-                                  spatial, epilogue, bp);
+        kernels::gemm_prepacked_a(cout_g, spatial, col_rows, *pa, cp,
+                                  spatial, false, op, spatial, epilogue, bp);
       } else {
         kernels::naive_gemm(cout_g, spatial, col_rows, wp, col_rows, false,
-                            col.data().data(), spatial, false, op, spatial,
-                            epilogue, bp);
+                            cp, spatial, false, op, spatial, epilogue, bp);
       }
     }
   }
@@ -258,13 +223,7 @@ Tensor Conv2d::forward_int8(const Tensor& input, std::int64_t h_out,
 
   Tensor output({n_batch, opts_.out_channels, h_out, w_out});
   const Tensor w_mat = weight_.value.reshape({opts_.out_channels, col_rows});
-  if (lowp_packed_.size() != static_cast<std::size_t>(g)) {
-    lowp_packed_.resize(static_cast<std::size_t>(g));
-  }
-  if (native_scales_.empty()) {
-    native_scales_ = kernels::per_row_scales_i8(
-        opts_.out_channels, col_rows, w_mat.data().data(), col_rows, false);
-  }
+  const std::vector<float>& scales = int8_scales();
   const bool fuse = relu_fused_output();
 
   std::vector<std::int32_t> acc(static_cast<std::size_t>(cout_g * spatial));
@@ -272,11 +231,9 @@ Tensor Conv2d::forward_int8(const Tensor& input, std::int64_t h_out,
   for (std::int64_t grp = 0; grp < g; ++grp) {
     const auto* wp = w_mat.data().data() + grp * cout_g * col_rows;
     const float* bp =
-        opts_.bias ? bias_.value.data().data() + grp * cout_g : nullptr;
-    const auto& pa =
-        lowp_packed_[static_cast<std::size_t>(grp)].packed_a_i8(
-            cout_g, col_rows, wp, col_rows, false,
-            native_scales_.data() + grp * cout_g);
+        has_bias_ ? bias_.value.data().data() + grp * cout_g : nullptr;
+    const auto& pa = packs_[static_cast<std::size_t>(grp)].packed_a_i8(
+        cout_g, col_rows, wp, col_rows, false, scales.data() + grp * cout_g);
     for (std::int64_t n = 0; n < n_batch; ++n) {
       const kernels::BTileFn tile = [&](std::int64_t col0, int w, float* dst) {
         im2col_tile(input, n, grp, w_out, col0, w, dst);
@@ -303,62 +260,6 @@ Tensor Conv2d::forward_int8(const Tensor& input, std::int64_t h_out,
         kernels::requantize_rows(cout_g, spatial, acc.data(), spatial,
                                  pa.scale.data(), in_scale, bp, op, spatial);
       }
-    }
-  }
-  return output;
-}
-
-// Native fp16/bf16 forward: weights, activations, and bias are stored as
-// 16-bit codes and widened (exactly) into the fp32 blocked kernels, so the
-// result equals the fp32 GEMM over pre-narrowed operands and inherits the
-// fp32 determinism guarantees.
-Tensor Conv2d::forward_16(const Tensor& input, std::int64_t h_out,
-                          std::int64_t w_out) {
-  const auto fmt = native_ == kernels::LowPrec::kFp16
-                       ? kernels::Storage16::kFp16
-                       : kernels::Storage16::kBf16;
-  const auto n_batch = input.size(0);
-  const auto g = opts_.groups;
-  const auto cin_g = opts_.in_channels / g;
-  const auto cout_g = opts_.out_channels / g;
-  const auto col_rows = cin_g * opts_.kernel * opts_.kernel;
-  const auto spatial = h_out * w_out;
-
-  Tensor output({n_batch, opts_.out_channels, h_out, w_out});
-  Tensor col({col_rows, spatial});
-  const Tensor w_mat = weight_.value.reshape({opts_.out_channels, col_rows});
-  if (lowp_packed_.size() != static_cast<std::size_t>(g)) {
-    lowp_packed_.resize(static_cast<std::size_t>(g));
-  }
-  const auto epilogue =
-      opts_.bias ? kernels::Epilogue::kBiasRow : kernels::Epilogue::kZero;
-
-  kernels::PackedPanels wa;
-  std::vector<std::uint16_t> codes;
-  std::vector<float> colw;
-  std::vector<float> bias_w(static_cast<std::size_t>(opts_.bias ? cout_g : 0));
-  for (std::int64_t grp = 0; grp < g; ++grp) {
-    const auto* wp = w_mat.data().data() + grp * cout_g * col_rows;
-    const auto& ph = lowp_packed_[static_cast<std::size_t>(grp)].packed_a_16(
-        cout_g, col_rows, wp, col_rows, false, fmt);
-    kernels::widen_pack(ph, wa);
-    if (opts_.bias) {
-      const float* bp = bias_.value.data().data() + grp * cout_g;
-      for (std::int64_t i = 0; i < cout_g; ++i) {
-        bias_w[static_cast<std::size_t>(i)] =
-            kernels::widen16(kernels::narrow16(bp[i], fmt), fmt);
-      }
-    }
-    for (std::int64_t n = 0; n < n_batch; ++n) {
-      im2col(input, n, grp, h_out, w_out, col);
-      kernels::narrow_buffer(col.data().data(), col_rows * spatial, fmt,
-                             codes);
-      kernels::widen_buffer(codes.data(), col_rows * spatial, fmt, colw);
-      auto* op = output.data().data() +
-                 (n * opts_.out_channels + grp * cout_g) * spatial;
-      kernels::gemm_prepacked_a(cout_g, spatial, col_rows, wa, colw.data(),
-                                spatial, false, op, spatial, epilogue,
-                                opts_.bias ? bias_w.data() : nullptr);
     }
   }
   return output;
@@ -400,7 +301,7 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
       // matrix); grad_bias += sum(grad_out).
       kernels::gemm(cout_g, col_rows, spatial, go, spatial, false, cp, spatial,
                     true, gwp, col_rows, kernels::Epilogue::kAccumulate);
-      if (opts_.bias) {
+      if (has_bias_) {
         for (std::int64_t oc = 0; oc < cout_g; ++oc) {
           const float* grow = go + oc * spatial;
           float acc = 0.0f;

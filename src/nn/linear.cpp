@@ -1,58 +1,15 @@
 #include "nn/linear.hpp"
 
-#include <cmath>
-
 #include "nn/init.hpp"
 
 namespace pfi::nn {
 
 Linear::Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng,
                bool bias)
-    : in_(in_features), out_(out_features), has_bias_(bias) {
+    : in_(in_features), out_(out_features) {
   PFI_CHECK(in_ > 0 && out_ > 0) << "Linear dims must be positive";
-  weight_.name = "weight";
-  weight_.value = Tensor({out_, in_});
-  weight_.grad = Tensor({out_, in_});
+  init_parameters({out_, in_}, bias, 1);
   kaiming_normal_(weight_.value, in_, rng);
-  if (has_bias_) {
-    bias_.name = "bias";
-    bias_.value = Tensor({out_});
-    bias_.grad = Tensor({out_});
-  }
-}
-
-std::vector<Parameter*> Linear::local_parameters() {
-  std::vector<Parameter*> out{&weight_};
-  if (has_bias_) out.push_back(&bias_);
-  return out;
-}
-
-void Linear::set_native_dtype(kernels::LowPrec native,
-                              std::vector<float> out_feature_scales) {
-  PFI_CHECK(out_feature_scales.empty() || native == kernels::LowPrec::kInt8)
-      << "Linear::set_native_dtype: feature scales only apply to kInt8";
-  PFI_CHECK(out_feature_scales.empty() ||
-            out_feature_scales.size() == static_cast<std::size_t>(out_))
-      << "Linear::set_native_dtype: got " << out_feature_scales.size()
-      << " feature scales for " << out_ << " output features";
-  for (const float s : out_feature_scales) {
-    PFI_CHECK(std::isfinite(s) && s > 0.0f)
-        << "Linear::set_native_dtype: feature scale " << s
-        << " must be finite and positive";
-  }
-  native_ = native;
-  native_scales_ = std::move(out_feature_scales);
-  lowp_packed_.invalidate();
-}
-
-void Linear::set_static_act(float in_scale, float out_scale) {
-  PFI_CHECK(std::isfinite(in_scale) && in_scale > 0.0f &&
-            std::isfinite(out_scale) && out_scale > 0.0f)
-      << "Linear::set_static_act: scales in=" << in_scale
-      << " out=" << out_scale << " must be finite and positive";
-  static_act_ = true;
-  static_in_scale_ = in_scale;
-  static_out_scale_ = out_scale;
 }
 
 // Native INT8 forward: W^T is quantized per-out-feature (frozen scales as
@@ -66,11 +23,8 @@ Tensor Linear::forward_int8(const Tensor& input) {
   Tensor output({n, out_});
   const auto* x = input.data().data();
   const auto* w = weight_.value.data().data();
-  if (native_scales_.empty()) {
-    native_scales_ = kernels::per_row_scales_i8(out_, in_, w, in_, false);
-  }
   const auto& pb =
-      lowp_packed_.packed_b_i8(in_, out_, w, in_, true, native_scales_.data());
+      packs_[0].packed_b_i8(in_, out_, w, in_, true, int8_scales().data());
   kernels::PackedPanelsI8 xa;
   if (static_act_) {
     kernels::quantize_pack_a_i8_static(n, in_, x, in_, false,
@@ -95,57 +49,39 @@ Tensor Linear::forward_int8(const Tensor& input) {
   return output;
 }
 
-// Native fp16/bf16 forward: W^T, activations, and bias live as 16-bit codes
-// widened exactly into the fp32 blocked kernel.
-Tensor Linear::forward_16(const Tensor& input) {
-  const auto fmt = native_ == kernels::LowPrec::kFp16
-                       ? kernels::Storage16::kFp16
-                       : kernels::Storage16::kBf16;
-  const auto n = input.size(0);
-  Tensor output({n, out_});
-  const auto* x = input.data().data();
-  const auto* w = weight_.value.data().data();
-  const auto& ph = lowp_packed_.packed_b_16(in_, out_, w, in_, true, fmt);
-  kernels::PackedPanels wb;
-  kernels::widen_pack(ph, wb);
-  std::vector<std::uint16_t> codes;
-  std::vector<float> xw;
-  kernels::narrow_buffer(x, n * in_, fmt, codes);
-  kernels::widen_buffer(codes.data(), n * in_, fmt, xw);
-  std::vector<float> bias_w(static_cast<std::size_t>(has_bias_ ? out_ : 0));
-  if (has_bias_) {
-    const float* bp = bias_.value.data().data();
-    for (std::int64_t o = 0; o < out_; ++o) {
-      bias_w[static_cast<std::size_t>(o)] =
-          kernels::widen16(kernels::narrow16(bp[o], fmt), fmt);
-    }
-  }
-  const auto epilogue =
-      has_bias_ ? kernels::Epilogue::kBiasCol : kernels::Epilogue::kZero;
-  kernels::gemm_prepacked_b(n, out_, in_, xw.data(), in_, false, wb,
-                            output.data().data(), out_, epilogue,
-                            has_bias_ ? bias_w.data() : nullptr);
-  return output;
-}
-
 Tensor Linear::forward(const Tensor& input) {
   PFI_CHECK(input.dim() == 2 && input.size(1) == in_)
       << "Linear(" << in_ << " -> " << out_ << ") got " << input.to_string();
   cached_input_ = input;
   if (native_ == kernels::LowPrec::kInt8) return forward_int8(input);
-  if (native_ != kernels::LowPrec::kNone) return forward_16(input);
   const auto n = input.size(0);
   Tensor output({n, out_});
-  const auto* x = input.data().data();
+  const float* x = input.data().data();
   const auto* w = weight_.value.data().data();
   auto* y = output.data().data();
+  const float* bp = has_bias_ ? bias_.value.data().data() : nullptr;
+  // Native fp16/bf16 is this fp32 forward over operands rounded through
+  // the 16-bit format: W^T once, when its pack is built (so it always runs
+  // the blocked kernel), activations and bias on every forward.
+  std::optional<kernels::Storage16> round;
+  std::vector<float> x_r, bias_r;
+  if (native_ != kernels::LowPrec::kNone) {
+    round = storage16();
+    x_r.resize(static_cast<std::size_t>(n * in_));
+    kernels::round16(x, n * in_, *round, x_r.data());
+    x = x_r.data();
+    if (bp != nullptr) {
+      bias_r.resize(static_cast<std::size_t>(out_));
+      kernels::round16(bp, out_, *round, bias_r.data());
+      bp = bias_r.data();
+    }
+  }
   // y = x W^T + b: the GEMM's B operand is W transposed, packed once and
   // cached until the weight bits change.
   const auto epilogue =
       has_bias_ ? kernels::Epilogue::kBiasCol : kernels::Epilogue::kZero;
-  const float* bp = has_bias_ ? bias_.value.data().data() : nullptr;
-  if (kernels::active_impl() == kernels::Impl::kBlocked) {
-    const auto& pb = packed_.packed_b(in_, out_, w, in_, true);
+  if (round || kernels::active_impl() == kernels::Impl::kBlocked) {
+    const auto& pb = packs_[0].packed_b(in_, out_, w, in_, true, round);
     kernels::gemm_prepacked_b(n, out_, in_, x, in_, false, pb, y, out_,
                               epilogue, bp);
   } else {

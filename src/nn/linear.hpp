@@ -1,18 +1,19 @@
 // Fully-connected layer: y = x W^T + b.
 //
 // Forward and backward route through pfi::kernels (see kernels/kernels.hpp).
-// The packed W^T panels the blocked GEMM consumes are cached and invalidated
-// on weight mutation, mirroring Conv2d.
+// Weight, bias, the native INT8/fp16/bf16 mode, static activation scales,
+// ReLU fusion and the cache of the packed W^T panels the blocked GEMM
+// consumes live in the GemmLayer base (nn/gemm_layer.hpp), shared with
+// Conv2d: a Linear is one group. A native fp16/bf16 W^T is rounded through
+// its 16-bit format once, when its fp32 pack is built.
 #pragma once
 
-#include "kernels/kernels.hpp"
-#include "kernels/lowp.hpp"
-#include "nn/module.hpp"
+#include "nn/gemm_layer.hpp"
 #include "util/rng.hpp"
 
 namespace pfi::nn {
 
-class Linear final : public Module {
+class Linear final : public GemmLayer {
  public:
   Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng,
          bool bias = true);
@@ -25,43 +26,13 @@ class Linear final : public Module {
     Rng rng(0);  // throwaway init; clone_model overwrites the parameters
     return std::make_shared<Linear>(in_, out_, rng, has_bias_);
   }
-  std::vector<Parameter*> local_parameters() override;
 
   std::int64_t in_features() const { return in_; }
   std::int64_t out_features() const { return out_; }
-  bool has_bias() const { return has_bias_; }
-  Parameter& weight() { return weight_; }
-  Parameter& bias() { return bias_; }
 
-  /// Drop the cached packed-weight panels (see Conv2d::invalidate_weight_packs).
-  void invalidate_weight_packs() {
-    packed_.invalidate();
-    lowp_packed_.invalidate();
-  }
-
-  /// Native low-precision forward path (see Conv2d::set_native_dtype):
-  /// kInt8 quantizes activations per-tensor against a per-out-feature
-  /// quantized W^T; kFp16/kBf16 store both operands as 16-bit codes.
-  /// `out_feature_scales` freezes the INT8 weight scales (empty = lazy).
-  void set_native_dtype(kernels::LowPrec native,
-                        std::vector<float> out_feature_scales = {});
-  kernels::LowPrec native_dtype() const { return native_; }
-  const std::vector<float>& native_scales() const { return native_scales_; }
-
-  /// Freeze the INT8 activation scales (see Conv2d::set_static_act):
-  /// `in_scale` quantizes the activation matrix without an absmax pass,
-  /// `out_scale` is the grid the epilogue re-quantizes the output onto.
-  void set_static_act(float in_scale, float out_scale);
-  void clear_static_act() { static_act_ = false; }
-  bool has_static_act() const { return static_act_; }
-  float static_in_scale() const { return static_in_scale_; }
-  float static_out_scale() const { return static_out_scale_; }
-
-  /// ReLU fusion (see Conv2d::set_fuse_relu). Linear only fuses on the
-  /// static-INT8 path — the fp32 epilogue set has no rectified kBiasCol,
-  /// and classifier heads always carry bias.
-  void set_fuse_relu(bool on) { fuse_relu_ = on; }
-  bool fuse_relu() const { return fuse_relu_; }
+  /// Fusion gate: Linear only fuses on the static-INT8 path — the fp32
+  /// epilogue set has no rectified kBiasCol, and classifier heads always
+  /// carry bias.
   bool relu_fused_output() const override {
     return fuse_relu_ && !training_ && static_act_ &&
            native_ == kernels::LowPrec::kInt8;
@@ -69,23 +40,10 @@ class Linear final : public Module {
 
  private:
   Tensor forward_int8(const Tensor& input);
-  Tensor forward_16(const Tensor& input);
 
   std::int64_t in_ = 0;
   std::int64_t out_ = 0;
-  bool has_bias_ = true;
-  Parameter weight_;  // [out, in]
-  Parameter bias_;    // [out]
   Tensor cached_input_;
-  kernels::WeightPackCache packed_;  // packed panels of W^T
-  kernels::LowPrec native_ = kernels::LowPrec::kNone;
-  std::vector<float> native_scales_;  // frozen per-out-feature INT8 scales
-  kernels::LowPrecPackCache lowp_packed_;
-  // Static activation calibration + ReLU fusion state.
-  bool static_act_ = false;
-  float static_in_scale_ = 0.0f;
-  float static_out_scale_ = 0.0f;
-  bool fuse_relu_ = false;
 };
 
 }  // namespace pfi::nn

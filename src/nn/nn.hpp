@@ -4,6 +4,7 @@
 #include "nn/batchnorm.hpp"
 #include "nn/container.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/gemm_layer.hpp"
 #include "nn/init.hpp"
 #include "nn/layers.hpp"
 #include "nn/linear.hpp"

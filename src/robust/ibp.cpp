@@ -35,48 +35,25 @@ IbpNetwork::IbpNetwork(std::shared_ptr<Sequential> model)
       continue;
     }
     Layer layer;
-    layer.original = m;
-    layer.kind = kind;
     if (kind == "Conv2d") {
       auto& conv = static_cast<Conv2d&>(*m);
-      Conv2dOptions plus_opts = conv.options();
       Conv2dOptions minus_opts = conv.options();
       minus_opts.bias = false;
-      layer.plus_lo = std::make_shared<Conv2d>(plus_opts, shadow_rng);
-      layer.plus_hi = std::make_shared<Conv2d>(plus_opts, shadow_rng);
+      layer.affine = &conv;
+      layer.plus_lo = std::make_shared<Conv2d>(conv.options(), shadow_rng);
+      layer.plus_hi = std::make_shared<Conv2d>(conv.options(), shadow_rng);
       layer.minus_lo = std::make_shared<Conv2d>(minus_opts, shadow_rng);
       layer.minus_hi = std::make_shared<Conv2d>(minus_opts, shadow_rng);
-      // The plus shadows add the ORIGINAL bias (shared storage): the bias
-      // term appears identically in both bounds.
-      if (conv.has_bias()) {
-        static_cast<Conv2d&>(*layer.plus_lo).bias().value = conv.bias().value;
-        static_cast<Conv2d&>(*layer.plus_hi).bias().value = conv.bias().value;
-      }
-      // Within each sign pair the two shadows share weight storage.
-      static_cast<Conv2d&>(*layer.plus_hi).weight().value =
-          static_cast<Conv2d&>(*layer.plus_lo).weight().value;
-      static_cast<Conv2d&>(*layer.minus_hi).weight().value =
-          static_cast<Conv2d&>(*layer.minus_lo).weight().value;
     } else if (kind == "Linear") {
       auto& fc = static_cast<Linear&>(*m);
-      layer.plus_lo = std::make_shared<Linear>(fc.in_features(),
-                                               fc.out_features(), shadow_rng,
+      const auto in = fc.in_features(), out = fc.out_features();
+      layer.affine = &fc;
+      layer.plus_lo = std::make_shared<Linear>(in, out, shadow_rng,
                                                fc.has_bias());
-      layer.plus_hi = std::make_shared<Linear>(fc.in_features(),
-                                               fc.out_features(), shadow_rng,
+      layer.plus_hi = std::make_shared<Linear>(in, out, shadow_rng,
                                                fc.has_bias());
-      layer.minus_lo = std::make_shared<Linear>(
-          fc.in_features(), fc.out_features(), shadow_rng, false);
-      layer.minus_hi = std::make_shared<Linear>(
-          fc.in_features(), fc.out_features(), shadow_rng, false);
-      if (fc.has_bias()) {
-        static_cast<Linear&>(*layer.plus_lo).bias().value = fc.bias().value;
-        static_cast<Linear&>(*layer.plus_hi).bias().value = fc.bias().value;
-      }
-      static_cast<Linear&>(*layer.plus_hi).weight().value =
-          static_cast<Linear&>(*layer.plus_lo).weight().value;
-      static_cast<Linear&>(*layer.minus_hi).weight().value =
-          static_cast<Linear&>(*layer.minus_lo).weight().value;
+      layer.minus_lo = std::make_shared<Linear>(in, out, shadow_rng, false);
+      layer.minus_hi = std::make_shared<Linear>(in, out, shadow_rng, false);
     } else if (kind == "ReLU") {
       layer.mono_lo = std::make_shared<ReLU>();
       layer.mono_hi = std::make_shared<ReLU>();
@@ -94,19 +71,26 @@ IbpNetwork::IbpNetwork(std::shared_ptr<Sequential> model)
                        << "' (supported: Conv2d, Linear, ReLU, MaxPool2d, "
                           "Flatten, Dropout)";
     }
+    if (layer.affine != nullptr) {
+      // The plus shadows add the ORIGINAL bias (shared storage): the bias
+      // term appears identically in both bounds.
+      if (layer.affine->has_bias()) {
+        layer.plus_lo->bias().value = layer.affine->bias().value;
+        layer.plus_hi->bias().value = layer.affine->bias().value;
+      }
+      // Within each sign pair the two shadows share weight storage.
+      layer.plus_hi->weight().value = layer.plus_lo->weight().value;
+      layer.minus_hi->weight().value = layer.minus_lo->weight().value;
+    }
     layers_.push_back(std::move(layer));
   }
   PFI_CHECK(!layers_.empty()) << "IbpNetwork: model has no supported layers";
 }
 
 void IbpNetwork::refresh_affine_weights(Layer& layer) {
-  auto get_weight = [](Module& m) -> Parameter& {
-    return m.kind() == "Conv2d" ? static_cast<Conv2d&>(m).weight()
-                                : static_cast<Linear&>(m).weight();
-  };
-  const Tensor& w = get_weight(*layer.original).value;
-  Tensor wplus = get_weight(*layer.plus_lo).value;   // shared with plus_hi
-  Tensor wminus = get_weight(*layer.minus_lo).value;  // shared with minus_hi
+  const Tensor& w = layer.affine->weight().value;
+  Tensor wplus = layer.plus_lo->weight().value;    // shared with plus_hi
+  Tensor wminus = layer.minus_lo->weight().value;  // shared with minus_hi
   wplus.copy_from(w);
   wplus.apply_([](float v) { return v > 0.0f ? v : 0.0f; });
   wminus.copy_from(w);
@@ -135,9 +119,9 @@ IntervalTensor IbpNetwork::forward(const IntervalTensor& input) {
 void IbpNetwork::backward(const Tensor& grad_lo, const Tensor& grad_hi) {
   // Zero shadow gradients so each backward pass starts clean.
   for (Layer& layer : layers_) {
-    for (auto* shadow :
-         {layer.plus_lo.get(), layer.plus_hi.get(), layer.minus_lo.get(),
-          layer.minus_hi.get(), layer.mono_lo.get(), layer.mono_hi.get()}) {
+    for (Module* shadow : std::initializer_list<Module*>{
+             layer.plus_lo.get(), layer.plus_hi.get(), layer.minus_lo.get(),
+             layer.minus_hi.get(), layer.mono_lo.get(), layer.mono_hi.get()}) {
       if (shadow) shadow->zero_grad();
     }
   }
@@ -164,22 +148,13 @@ void IbpNetwork::backward(const Tensor& grad_lo, const Tensor& grad_hi) {
 }
 
 void IbpNetwork::accumulate_affine_grads(Layer& layer) {
-  auto get_weight = [](Module& m) -> Parameter& {
-    return m.kind() == "Conv2d" ? static_cast<Conv2d&>(m).weight()
-                                : static_cast<Linear&>(m).weight();
-  };
-  auto get_bias = [](Module& m) -> Parameter& {
-    return m.kind() == "Conv2d" ? static_cast<Conv2d&>(m).bias()
-                                : static_cast<Linear&>(m).bias();
-  };
-
-  Parameter& orig_w = get_weight(*layer.original);
+  Parameter& orig_w = layer.affine->weight();
   const auto w = orig_w.value.data();
   auto grad = orig_w.grad.data();
-  const auto gpl = get_weight(*layer.plus_lo).grad.data();
-  const auto gph = get_weight(*layer.plus_hi).grad.data();
-  const auto gml = get_weight(*layer.minus_lo).grad.data();
-  const auto gmh = get_weight(*layer.minus_hi).grad.data();
+  const auto gpl = layer.plus_lo->weight().grad.data();
+  const auto gph = layer.plus_hi->weight().grad.data();
+  const auto gml = layer.minus_lo->weight().grad.data();
+  const auto gmh = layer.minus_hi->weight().grad.data();
   for (std::size_t i = 0; i < w.size(); ++i) {
     // dW flows through W+ where W > 0 and through W- where W < 0; at
     // exactly zero both clamp masks are flat, so the subgradient is 0 —
@@ -191,13 +166,10 @@ void IbpNetwork::accumulate_affine_grads(Layer& layer) {
     }
   }
 
-  const bool has_bias = layer.original->kind() == "Conv2d"
-                            ? static_cast<Conv2d&>(*layer.original).has_bias()
-                            : static_cast<Linear&>(*layer.original).has_bias();
-  if (has_bias) {
-    Parameter& orig_b = get_bias(*layer.original);
-    orig_b.grad.add_(get_bias(*layer.plus_lo).grad);
-    orig_b.grad.add_(get_bias(*layer.plus_hi).grad);
+  if (layer.affine->has_bias()) {
+    Parameter& orig_b = layer.affine->bias();
+    orig_b.grad.add_(layer.plus_lo->bias().grad);
+    orig_b.grad.add_(layer.plus_hi->bias().grad);
   }
 }
 

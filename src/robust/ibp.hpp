@@ -53,10 +53,10 @@ class IbpNetwork {
 
  private:
   struct Layer {
-    nn::Module* original = nullptr;
-    std::string kind;
-    // Affine shadows (Conv2d / Linear): W+ applied to lo and hi, W- likewise.
-    std::shared_ptr<nn::Module> plus_lo, plus_hi, minus_lo, minus_hi;
+    // Affine layers (Conv2d / Linear): the wrapped layer and its shadows,
+    // W+ applied to lo and hi, W- likewise.
+    nn::GemmLayer* affine = nullptr;
+    std::shared_ptr<nn::GemmLayer> plus_lo, plus_hi, minus_lo, minus_hi;
     // Monotone shadows (ReLU / MaxPool2d / Flatten): one per bound.
     std::shared_ptr<nn::Module> mono_lo, mono_hi;
   };

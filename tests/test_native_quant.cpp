@@ -676,6 +676,11 @@ TEST_F(NativeInjector, PerLayerResolutionOverrides) {
   core::FiConfig bad = cfg;
   bad.per_layer = {{.layer = "no.such.layer", .dtype = core::DType::kInt8}};
   EXPECT_THROW(core::FaultInjector(model, bad), Error);
+  // Two resolutions for one layer are refused, not resolved by order.
+  bad.per_layer = {
+      {.layer = p0, .dtype = core::DType::kInt8, .native = true},
+      {.layer = p0, .dtype = core::DType::kFloat16, .native = false}};
+  EXPECT_THROW(core::FaultInjector(model, bad), Error);
 }
 
 TEST_F(NativeInjector, ReplicaReproducesNativeForwardBits) {

@@ -451,6 +451,44 @@ TEST(PersistNative, FaultsCorruptNativeInt8CodesAndHealRestores) {
               float_to_bits(healed.data()[i]))
         << "heal left residue at logit " << i;
   }
+
+  // With instrument_linear, persistent writes land in the native-INT8
+  // classifier's codes under its frozen scales.
+  auto alex = make_model("alexnet", {.num_classes = 10}, rng);
+  alex->eval();  // dropout would otherwise change every forward
+  auto* head = dynamic_cast<nn::Linear*>(alex->children().back());
+  ASSERT_NE(head, nullptr);
+  {
+    FiConfig cfg = persist_config(DType::kInt8, /*native=*/true);
+    cfg.instrument_linear = true;
+    FaultInjector afi(alex, cfg);
+    const std::int64_t last = afi.num_layers() - 1;
+    ASSERT_EQ(&afi.layer(last), head);
+    ASSERT_EQ(head->native_dtype(), kernels::LowPrec::kInt8);
+    const std::vector<float> scales = head->native_scales();
+    const Tensor a_golden = afi.forward(batch.images).clone();
+    // A whole weight row: one flipped weight can meet a zero input.
+    const std::int64_t row = 3, in = head->in_features();
+    for (std::int64_t j = 0; j < in; ++j) {
+      afi.write_persistent_bit(last, row * in + j, 6, -1, 0, "row");
+    }
+    const Tensor a_faulty = afi.forward(batch.images).clone();
+    bool moved = false;
+    for (std::int64_t i = 0; i < a_golden.numel(); ++i) {
+      moved |= float_to_bits(a_golden.data()[i]) !=
+               float_to_bits(a_faulty.data()[i]);
+    }
+    EXPECT_TRUE(moved) << "persistent writes did not reach the classifier";
+    EXPECT_EQ(head->native_scales(), scales);
+    afi.heal_persistent_faults();
+    const Tensor a_healed = afi.forward(batch.images).clone();
+    for (std::int64_t i = 0; i < a_golden.numel(); ++i) {
+      ASSERT_EQ(float_to_bits(a_golden.data()[i]),
+                float_to_bits(a_healed.data()[i]))
+          << "heal left residue at alexnet logit " << i;
+    }
+  }
+  EXPECT_EQ(head->native_dtype(), kernels::LowPrec::kNone);
 }
 
 // Same property for the 16-bit native storage paths.

@@ -554,6 +554,30 @@ TEST_F(StaticCalibInjector, StaticInjectorWiresFusionAndInjectionDomain) {
   auto* conv0 = dynamic_cast<nn::Conv2d*>(model->children()[0]);
   EXPECT_FALSE(conv0->relu_fused_output());
   EXPECT_FALSE(conv0->has_static_act());
+
+  // With instrument_linear the classifier runs under frozen scales too, and
+  // loses them with the injector.
+  auto* fc = dynamic_cast<nn::Linear*>(model->children().back());
+  ASSERT_NE(fc, nullptr);
+  core::FiConfig lin_cfg = plain_config();
+  lin_cfg.instrument_linear = true;
+  auto lin_act = std::make_shared<quant::StaticActQuant>();
+  {
+    core::FaultInjector fi(model, lin_cfg);
+    *lin_act = core::calibrate_static_act(fi, calib_batches(38));
+  }
+  lin_cfg.dtype = core::DType::kInt8;
+  lin_cfg.native = true;
+  lin_cfg.static_act = lin_act;
+  {
+    core::FaultInjector fi(model, lin_cfg);
+    ASSERT_EQ(fi.num_layers(), 3);
+    EXPECT_EQ(&fi.layer(2), fc);
+    EXPECT_TRUE(fi.layer_static(2));
+    EXPECT_TRUE(fc->has_static_act());
+  }
+  EXPECT_FALSE(fc->has_static_act());
+  EXPECT_EQ(fc->native_dtype(), LowPrec::kNone);
 }
 
 TEST_F(StaticCalibInjector, StaticForwardBitIdenticalAcrossIsaThreadsCache) {
