@@ -23,9 +23,9 @@
 //               separately; the row reports their sum and the footer the
 //               weighted phase breakdown.
 //
-// Environment knobs: PFI_BENCH_REPS_MS (target ms per measurement, default
-// 300), PFI_KERNEL_THREADS (intra-op threads for the blocked kernel,
-// default 1 — the campaign engine parallelizes across trials instead).
+// Environment knob: PFI_BENCH_REPS_MS (target ms per measurement, default
+// 300). Every kernel runs on one thread, as it does inside a campaign: the
+// campaign engine parallelizes across trials, not inside one GEMM.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -109,9 +109,8 @@ double time_per_call(Fn&& fn, double target_ms) {
 
 int main() {
   const double target_ms = util::env_double("PFI_BENCH_REPS_MS", 300.0);
-  std::printf("pfi::kernels GEMM microbenchmark (simd %s, %d thread%s)\n",
-              kernels::simd_available() ? "avx2+fma" : "scalar",
-              kernels::threads(), kernels::threads() == 1 ? "" : "s");
+  std::printf("pfi::kernels GEMM microbenchmark (simd %s, 1 thread)\n",
+              kernels::simd_available() ? "avx2+fma" : "scalar");
   std::printf("shapes: im2col GEMMs of every conv in alexnet + resnet18 "
               "(CIFAR geometry, batch 1)\n\n");
 

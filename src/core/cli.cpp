@@ -1,9 +1,12 @@
 #include "core/cli.hpp"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <string_view>
 #include <vector>
 
+#include "util/bits.hpp"
 #include "util/parse.hpp"
 
 namespace pfi::core {
@@ -75,38 +78,60 @@ std::string cli_usage() {
 
 std::optional<ErrorModel> parse_error_model_spec(const std::string& spec,
                                                  std::string* error) {
+  // Every refusal names the spec. Arguments are checked against what the
+  // error-model constructors require, so none of them throws from here.
   const auto fail = [&](const std::string& why) -> std::optional<ErrorModel> {
-    if (error != nullptr) *error = why;
+    if (error != nullptr) *error = "error model '" + spec + "': " + why;
     return std::nullopt;
   };
   const auto colon = spec.find(':');
   const std::string head = spec.substr(0, colon);
-  std::vector<float> args;
+  std::vector<std::string> args;
   for (std::size_t pos = colon; pos != std::string::npos;) {
     const auto next = spec.find(':', pos + 1);
-    const std::string arg =
-        spec.substr(pos + 1, next == std::string::npos ? next : next - pos - 1);
-    char* end = nullptr;
-    const float v = std::strtof(arg.c_str(), &end);
-    if (arg.empty() || end != arg.c_str() + arg.size()) {
-      return fail("error model argument '" + arg + "' is not a number");
-    }
-    args.push_back(v);
+    args.push_back(spec.substr(
+        pos + 1, next == std::string::npos ? next : next - pos - 1));
     pos = next;
   }
   if (head == "bitflip") {
     if (args.size() > 1) return fail("bitflip takes at most one argument");
-    return single_bit_flip(args.empty() ? -1 : static_cast<int>(args[0]));
+    if (args.empty()) return single_bit_flip(-1);
+    const auto bit = util::parse_int(args[0], -1, kFloatBits - 1);
+    if (!bit.has_value()) {
+      return fail("bit '" + args[0] + "' is not an integer in [-1, " +
+                  std::to_string(kFloatBits - 1) + "]");
+    }
+    return single_bit_flip(static_cast<int>(*bit));
+  }
+  std::vector<float> values;
+  for (const std::string& arg : args) {
+    errno = 0;
+    char* end = nullptr;
+    const float v = std::strtof(arg.c_str(), &end);
+    if (arg.empty() || end != arg.c_str() + arg.size()) {
+      return fail("'" + arg + "' is not a number");
+    }
+    if (errno == ERANGE && std::isinf(v)) {
+      return fail("'" + arg + "' overflows float");
+    }
+    values.push_back(v);
   }
   if (head == "random") {
-    if (args.empty()) return random_value();
-    if (args.size() == 2) return random_value(args[0], args[1]);
-    return fail("random takes 0 or 2 arguments (random:LO:HI)");
+    if (values.empty()) return random_value();
+    if (values.size() != 2) {
+      return fail("random takes 0 or 2 arguments (random:LO:HI)");
+    }
+    if (!(values[0] < values[1])) return fail("random needs LO < HI");
+    return random_value(values[0], values[1]);
   }
-  if (head == "zero" && args.empty()) return zero_value();
-  if (head == "const" && args.size() == 1) return constant_value(args[0]);
-  if (head == "noise" && args.size() == 1) return additive_noise(args[0]);
-  return fail("unknown error model '" + spec + "'");
+  if (head == "zero" && values.empty()) return zero_value();
+  if (head == "const" && values.size() == 1) return constant_value(values[0]);
+  if (head == "noise" && values.size() == 1) {
+    if (!(values[0] > 0.0f)) return fail("noise needs MAG > 0");
+    return additive_noise(values[0]);
+  }
+  if (error != nullptr) *error = "unknown error model '" + spec + "'";
+  return std::nullopt;
 }
 
 bool parse_persist_spec(const std::string& spec, PersistScenario* scenario,

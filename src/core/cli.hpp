@@ -90,8 +90,10 @@ CliParse parse_cli_args(int argc, const char* const* argv);
 std::string cli_usage();
 
 /// Parse an error-model spec (bitflip | bitflip:BIT | random |
-/// random:LO:HI | zero | const:V | noise:MAG). On failure returns nullopt
-/// and, when `error` is non-null, stores an explanation.
+/// random:LO:HI | zero | const:V | noise:MAG). BIT is an integer in
+/// [-1, 31] (-1: a random bit per injection). On failure, including an
+/// argument the model's constructor would refuse, returns nullopt and, when
+/// `error` is non-null, stores an explanation that names the spec.
 std::optional<ErrorModel> parse_error_model_spec(const std::string& spec,
                                                  std::string* error = nullptr);
 

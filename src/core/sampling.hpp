@@ -120,9 +120,9 @@ struct StratifiedCampaignConfig {
   /// base.trials.
   double target_half_width = 0.0;
   /// Analytic masked-fault pruning (see file comment). Pure execution-count
-  /// knob: counters, CSV, and estimates are identical either way; only
-  /// executed forwards (and the injection events of pruned trials, which
-  /// never happen) differ.
+  /// knob: counters, CSV, estimates and the injection trace are identical
+  /// either way (a pruned trial's events are synthesized as if it ran);
+  /// only the number of executed forwards differs.
   bool prune = true;
   /// Verification mode (PFI_PRUNE_VERIFY=1): execute every pruned injection
   /// anyway and abort if the top-1 outcome is NOT unchanged — the pruner's

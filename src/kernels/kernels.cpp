@@ -1,14 +1,11 @@
 #include "kernels/kernels.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
-#include <mutex>
 #include <string>
-
-#include "util/thread_pool.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -32,51 +29,14 @@ Impl read_impl_env() {
   return Impl::kBlocked;
 }
 
-int read_threads_env() {
-  const char* env = std::getenv("PFI_KERNEL_THREADS");
-  if (env == nullptr || *env == '\0') return 1;
-  const int n = std::atoi(env);
-  PFI_CHECK(n >= 1) << "PFI_KERNEL_THREADS must be >= 1, got '" << env << "'";
-  return n;
-}
+// Impl::kNaive or Impl::kBlocked as an int, or kUnread until set_impl()
+// runs or the first active_impl() reads PFI_KERNEL. Reading at first use
+// instead of during static initialization lets a bad value reach the
+// caller as a pfi::Error rather than terminate the program before main.
+constexpr int kUnread = -1;
+std::atomic<int> g_impl{kUnread};
 
-std::int64_t round_up(std::int64_t v, std::int64_t to) {
-  return ((v + to - 1) / to) * to;
-}
-
-BlockConfig normalize(BlockConfig cfg) {
-  PFI_CHECK(cfg.mr == 4 || cfg.mr == 6 || cfg.mr == 8)
-      << "BlockConfig.mr must be 4, 6, or 8, got " << cfg.mr;
-  PFI_CHECK(cfg.mc >= 1 && cfg.nc >= 1 && cfg.kc >= 1)
-      << "BlockConfig sizes must be positive: mc=" << cfg.mc
-      << " nc=" << cfg.nc << " kc=" << cfg.kc;
-  cfg.mc = round_up(cfg.mc, cfg.mr);
-  cfg.nc = round_up(cfg.nc, kNR);
-  return cfg;
-}
-
-Impl g_impl = read_impl_env();
-int g_threads = read_threads_env();
-BlockConfig g_block = normalize(BlockConfig{});
-
-// Intra-op pool, sized lazily to the current threads() setting. Resizing
-// happens only from single-threaded control flow (tests, main), never while
-// a parallel gemm is in flight.
-std::unique_ptr<util::ThreadPool> g_pool;
-std::mutex g_pool_mutex;
-
-// Set while executing a tile on the intra-op pool: a nested gemm (e.g. a
-// module calling matmul from inside a parallel region) runs serially instead
-// of deadlocking on its own pool.
-thread_local bool tls_in_kernel = false;
-
-util::ThreadPool& intra_op_pool(std::size_t n) {
-  std::lock_guard<std::mutex> lock(g_pool_mutex);
-  if (g_pool == nullptr || g_pool->size() != n) {
-    g_pool = std::make_unique<util::ThreadPool>(n);
-  }
-  return *g_pool;
-}
+constexpr int kMR = block_config().mr;
 
 // ---------------------------------------------------------- microkernels ----
 
@@ -85,22 +45,19 @@ util::ThreadPool& intra_op_pool(std::size_t n) {
 // in place (row stride ldc — either C itself for full tiles or a contiguous
 // scratch tile for edges). std::fma and vfmadd are both the correctly
 // rounded fused operation, so the scalar and AVX2 paths produce identical
-// bits — dispatch is a speed choice, never a numerics choice. Likewise the
-// 8-row AVX2 kernel runs as two 4-row halves over the same k panel: rows
-// are independent chains, so the split never changes bits.
+// bits — dispatch is a speed choice, never a numerics choice.
 
 // `bs` is the B row stride: kNR when B is packed into panels, the raw ldb
 // when the kernel streams a row-major B in place (trans_b == false needs no
 // packing — 16 consecutive columns of a row are already contiguous).
 
-template <int MR>
 void micro_scalar(std::int64_t kc, const float* __restrict ap,
                   const float* __restrict bp, std::int64_t bs,
                   float* __restrict c, std::int64_t ldc) {
   for (std::int64_t k = 0; k < kc; ++k) {
-    const float* a = ap + k * MR;
+    const float* a = ap + k * kMR;
     const float* b = bp + k * bs;
-    for (int r = 0; r < MR; ++r) {
+    for (int r = 0; r < kMR; ++r) {
       const float av = a[r];
       float* cr = c + r * ldc;
       for (int cc = 0; cc < kNR; ++cc) cr[cc] = std::fma(av, b[cc], cr[cc]);
@@ -112,6 +69,7 @@ void micro_scalar(std::int64_t kc, const float* __restrict ap,
 
 // 6x16: 12 accumulators + 2 B vectors + 1 broadcast = 15 ymm registers;
 // per k step: 2 B loads + 6 broadcasts vs 12 FMAs keeps both FMA ports fed.
+static_assert(kMR == 6, "micro_avx2_6 is unrolled for 6-row panels");
 __attribute__((target("avx2,fma"))) void micro_avx2_6(std::int64_t kc,
                                                       const float* ap,
                                                       const float* bp,
@@ -150,67 +108,16 @@ __attribute__((target("avx2,fma"))) void micro_avx2_6(std::int64_t kc,
   _mm256_storeu_ps(c + 5 * ldc, c50); _mm256_storeu_ps(c + 5 * ldc + 8, c51);
 }
 
-/// Four rows of a kNR-wide tile; `astride` is the A-panel row count (4 when
-/// the panel is 4 tall, 8 when this is one half of the 8-row kernel).
-__attribute__((target("avx2,fma"))) inline void micro_avx2_half4(
-    std::int64_t kc, const float* ap, int astride, const float* bp,
-    std::int64_t bs, float* c, std::int64_t ldc) {
-  __m256 c00 = _mm256_loadu_ps(c + 0 * ldc), c01 = _mm256_loadu_ps(c + 0 * ldc + 8);
-  __m256 c10 = _mm256_loadu_ps(c + 1 * ldc), c11 = _mm256_loadu_ps(c + 1 * ldc + 8);
-  __m256 c20 = _mm256_loadu_ps(c + 2 * ldc), c21 = _mm256_loadu_ps(c + 2 * ldc + 8);
-  __m256 c30 = _mm256_loadu_ps(c + 3 * ldc), c31 = _mm256_loadu_ps(c + 3 * ldc + 8);
-  for (std::int64_t k = 0; k < kc; ++k) {
-    const __m256 b0 = _mm256_loadu_ps(bp + k * bs);
-    const __m256 b1 = _mm256_loadu_ps(bp + k * bs + 8);
-    const float* a = ap + k * astride;
-    __m256 av;
-    av = _mm256_broadcast_ss(a + 0);
-    c00 = _mm256_fmadd_ps(av, b0, c00); c01 = _mm256_fmadd_ps(av, b1, c01);
-    av = _mm256_broadcast_ss(a + 1);
-    c10 = _mm256_fmadd_ps(av, b0, c10); c11 = _mm256_fmadd_ps(av, b1, c11);
-    av = _mm256_broadcast_ss(a + 2);
-    c20 = _mm256_fmadd_ps(av, b0, c20); c21 = _mm256_fmadd_ps(av, b1, c21);
-    av = _mm256_broadcast_ss(a + 3);
-    c30 = _mm256_fmadd_ps(av, b0, c30); c31 = _mm256_fmadd_ps(av, b1, c31);
-  }
-  _mm256_storeu_ps(c + 0 * ldc, c00); _mm256_storeu_ps(c + 0 * ldc + 8, c01);
-  _mm256_storeu_ps(c + 1 * ldc, c10); _mm256_storeu_ps(c + 1 * ldc + 8, c11);
-  _mm256_storeu_ps(c + 2 * ldc, c20); _mm256_storeu_ps(c + 2 * ldc + 8, c21);
-  _mm256_storeu_ps(c + 3 * ldc, c30); _mm256_storeu_ps(c + 3 * ldc + 8, c31);
-}
-
-__attribute__((target("avx2,fma"))) void micro_avx2_4(std::int64_t kc,
-                                                      const float* ap,
-                                                      const float* bp,
-                                                      std::int64_t bs,
-                                                      float* c,
-                                                      std::int64_t ldc) {
-  micro_avx2_half4(kc, ap, 4, bp, bs, c, ldc);
-}
-
-__attribute__((target("avx2,fma"))) void micro_avx2_8(std::int64_t kc,
-                                                      const float* ap,
-                                                      const float* bp,
-                                                      std::int64_t bs,
-                                                      float* c,
-                                                      std::int64_t ldc) {
-  micro_avx2_half4(kc, ap, 8, bp, bs, c, ldc);
-  micro_avx2_half4(kc, ap + 4, 8, bp, bs, c + 4 * ldc, ldc);
-}
-
 #endif  // PFI_KERNELS_X86
 
 using MicroFn = void (*)(std::int64_t, const float*, const float*,
                          std::int64_t, float*, std::int64_t);
 
-MicroFn micro_for(int mr) {
+MicroFn micro_kernel() {
 #ifdef PFI_KERNELS_X86
-  if (simd_available()) {
-    return mr == 8 ? micro_avx2_8 : (mr == 6 ? micro_avx2_6 : micro_avx2_4);
-  }
+  if (simd_available()) return micro_avx2_6;
 #endif
-  return mr == 8 ? micro_scalar<8>
-                 : (mr == 6 ? micro_scalar<6> : micro_scalar<4>);
+  return micro_scalar;
 }
 
 // -------------------------------------------------------------- compute ----
@@ -230,14 +137,15 @@ thread_local std::vector<float> tls_edge_b;
 /// One macro tile: rows [i0, i1) x cols [j0, j1) of C, full K sweep. The
 /// k loop is outermost within the tile so each element's chain is flushed to
 /// C between k panels — fp32 stores are exact, so the chain (and thus every
-/// bit of C) is independent of kc, the tile bounds, and the executing thread.
+/// bit of C) is independent of kc and the tile bounds.
 void compute_tile(std::int64_t m, std::int64_t n, std::int64_t k,
                   const PackedPanels& a, const BView& b, float* c,
                   std::int64_t ldc, Epilogue epilogue, const float* bias,
-                  std::int64_t kc, std::int64_t i0, std::int64_t i1,
-                  std::int64_t j0, std::int64_t j1, MicroFn micro) {
-  const int mr = a.panel;
-  float acc[8 * kNR];
+                  std::int64_t i0, std::int64_t i1, std::int64_t j0,
+                  std::int64_t j1, MicroFn micro) {
+  constexpr std::int64_t kc = block_config().kc;
+  constexpr int mr = kMR;
+  float acc[mr * kNR];
   for (std::int64_t kb = 0; kb < k; kb += kc) {
     const std::int64_t klen = std::min(kc, k - kb);
     const bool first = kb == 0;
@@ -364,8 +272,18 @@ thread_local PackedPanels tls_pack_b;
 
 // ----------------------------------------------------------- public api ----
 
-Impl active_impl() { return g_impl; }
-void set_impl(Impl impl) { g_impl = impl; }
+Impl active_impl() {
+  int impl = g_impl.load();
+  if (impl == kUnread) {
+    // Racing first calls read the same environment and store the same
+    // value; a set_impl() that lands first keeps its own.
+    g_impl.compare_exchange_strong(impl, static_cast<int>(read_impl_env()));
+    impl = g_impl.load();
+  }
+  return static_cast<Impl>(impl);
+}
+
+void set_impl(Impl impl) { g_impl.store(static_cast<int>(impl)); }
 
 bool simd_available() {
 #ifdef PFI_KERNELS_X86
@@ -377,38 +295,9 @@ bool simd_available() {
 #endif
 }
 
-const BlockConfig& block_config() { return g_block; }
-void set_block_config(BlockConfig cfg) { g_block = normalize(cfg); }
-
-int threads() { return g_threads; }
-void set_threads(int n) {
-  PFI_CHECK(n >= 1) << "kernels::set_threads(" << n << ") must be >= 1";
-  g_threads = n;
-}
-
-namespace detail {
-
-void run_tiles(std::int64_t tiles,
-               const std::function<void(std::int64_t)>& fn) {
-  const int nthreads = g_threads;
-  if (nthreads <= 1 || tiles <= 1 || tls_in_kernel) {
-    for (std::int64_t t = 0; t < tiles; ++t) fn(t);
-    return;
-  }
-  intra_op_pool(static_cast<std::size_t>(nthreads))
-      .run(static_cast<std::size_t>(tiles), [&](std::size_t t) {
-        tls_in_kernel = true;
-        fn(static_cast<std::int64_t>(t));
-        tls_in_kernel = false;
-      });
-}
-
-}  // namespace detail
-
 void pack_a(std::int64_t m, std::int64_t k, const float* a, std::int64_t lda,
             bool trans_a, int mr, PackedPanels& out) {
-  PFI_CHECK(mr == 4 || mr == 6 || mr == 8)
-      << "pack_a mr must be 4, 6, or 8, got " << mr;
+  detail::check_panel_height(mr, "pack_a");
   const std::int64_t panels = (m + mr - 1) / mr;
   // Every element is written below (padding lanes explicitly), so a plain
   // resize avoids re-zeroing the reused thread-local scratch each call.
@@ -487,7 +376,6 @@ void pack_b(std::int64_t k, std::int64_t n, const float* b, std::int64_t ldb,
 
 namespace {
 
-/// Shared blocked core: fixed tile grid over C, optional intra-op pool.
 /// relu(v) with nn::ReLU's exact semantics: negatives, -0.0, and NaN all
 /// map to +0.0. The fused epilogues must match the unfused conv + ReLU
 /// composition bit for bit.
@@ -513,8 +401,7 @@ Epilogue epilogue_base(Epilogue e, bool* relu) {
 void gemm_core(std::int64_t m, std::int64_t n, std::int64_t k,
                const PackedPanels& a, const BView& bv, float* c,
                std::int64_t ldc, Epilogue epilogue, const float* bias) {
-  PFI_CHECK(a.panel == 4 || a.panel == 6 || a.panel == 8)
-      << "blocked gemm: A pack has panel " << a.panel;
+  detail::check_panel_height(a.panel, "blocked gemm");
   PFI_CHECK(a.k == k) << "blocked gemm: A pack has K " << a.k << ", need "
                       << k;
   PFI_CHECK(a.span >= m)
@@ -538,32 +425,24 @@ void gemm_core(std::int64_t m, std::int64_t n, std::int64_t k,
     return;
   }
 
-  const BlockConfig cfg = g_block;
-  // Macro tiles must align with packed panel boundaries; the grid depends
-  // only on (m, n) and the block sizes — never on the thread count.
-  const std::int64_t mc = round_up(cfg.mc, a.panel);
-  const std::int64_t nc = round_up(cfg.nc, kNR);
-  const std::int64_t ti = (m + mc - 1) / mc;
-  const std::int64_t tj = (n + nc - 1) / nc;
-  const std::int64_t tiles = ti * tj;
-  const MicroFn micro = micro_for(a.panel);
-
-  detail::run_tiles(tiles, [&](std::int64_t t) {
-    const std::int64_t row = t / tj;
-    const std::int64_t col = t % tj;
-    const std::int64_t i0 = row * mc, i1 = std::min(m, (row + 1) * mc);
-    const std::int64_t j0 = col * nc, j1 = std::min(n, (col + 1) * nc);
-    compute_tile(m, n, k, a, bv, c, ldc, base, bias, cfg.kc, i0, i1, j0, j1,
-                 micro);
-    if (relu) {
-      // Each C element belongs to exactly one macro tile, so rectifying
-      // here is race-free and ordering-independent.
-      for (std::int64_t i = i0; i < i1; ++i) {
-        float* ci = c + i * ldc;
-        for (std::int64_t j = j0; j < j1; ++j) ci[j] = relu_unit(ci[j]);
+  // Row-major over the macro tiles, on the calling thread.
+  constexpr BlockConfig cfg = block_config();
+  const MicroFn micro = micro_kernel();
+  for (std::int64_t i0 = 0; i0 < m; i0 += cfg.mc) {
+    const std::int64_t i1 = std::min(m, i0 + cfg.mc);
+    for (std::int64_t j0 = 0; j0 < n; j0 += cfg.nc) {
+      const std::int64_t j1 = std::min(n, j0 + cfg.nc);
+      compute_tile(m, n, k, a, bv, c, ldc, base, bias, i0, i1, j0, j1, micro);
+      if (relu) {
+        // The tile's chains are complete, and its elements are still in
+        // cache.
+        for (std::int64_t i = i0; i < i1; ++i) {
+          float* ci = c + i * ldc;
+          for (std::int64_t j = j0; j < j1; ++j) ci[j] = relu_unit(ci[j]);
+        }
       }
     }
-  });
+  }
 }
 
 BView packed_view(const PackedPanels& b) {
@@ -603,7 +482,7 @@ void gemm_prepacked_b(std::int64_t m, std::int64_t n, std::int64_t k,
                       const float* a, std::int64_t lda, bool trans_a,
                       const PackedPanels& b, float* c, std::int64_t ldc,
                       Epilogue epilogue, const float* bias) {
-  pack_a(m, k, a, lda, trans_a, g_block.mr, tls_pack_a);
+  pack_a(m, k, a, lda, trans_a, kMR, tls_pack_a);
   gemm_packed(m, n, k, tls_pack_a, b, c, ldc, epilogue, bias);
 }
 
@@ -611,7 +490,7 @@ void gemm_blocked(std::int64_t m, std::int64_t n, std::int64_t k,
                   const float* a, std::int64_t lda, bool trans_a,
                   const float* b, std::int64_t ldb, bool trans_b, float* c,
                   std::int64_t ldc, Epilogue epilogue, const float* bias) {
-  pack_a(m, k, a, lda, trans_a, g_block.mr, tls_pack_a);
+  pack_a(m, k, a, lda, trans_a, kMR, tls_pack_a);
   gemm_core(m, n, k, tls_pack_a, raw_b_view(k, n, b, ldb, trans_b), c, ldc,
             epilogue, bias);
 }
@@ -650,7 +529,7 @@ void gemm(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
           std::int64_t lda, bool trans_a, const float* b, std::int64_t ldb,
           bool trans_b, float* c, std::int64_t ldc, Epilogue epilogue,
           const float* bias) {
-  if (g_impl == Impl::kNaive) {
+  if (active_impl() == Impl::kNaive) {
     naive_gemm(m, n, k, a, lda, trans_a, b, ldb, trans_b, c, ldc, epilogue,
                bias);
   } else {

@@ -14,15 +14,14 @@
 //
 //     acc = init(epilogue);  for k = 0..K-1 ascending: acc = fma(a_ik, b_kj, acc)
 //
-// The chain is anchored to the element, not the tile. Macro tiles (mc x nc),
-// the k panel size (kc), the microkernel height (mr), and the thread that
-// executes a tile only change WHEN a partial chain is flushed to memory —
-// fp32 stores are exact, so the value is bit-identical for every block
-// configuration and every thread count. The scalar microkernel uses
-// std::fma and the AVX2 path uses vfmadd, which implement the same
-// correctly-rounded fused operation, so runtime dispatch does not change
-// bits either. This is the same guarantee the campaign engine makes at
-// trial granularity (PR 1), pushed down into the kernels.
+// The chain is anchored to the element, not the tile. The macro tiles
+// (mc x nc) and k panels (kc) of the one block configuration only change
+// WHEN a partial chain is flushed to memory — fp32 stores are exact, so
+// every output equals that chain bit for bit, whatever the shape. The
+// scalar microkernel uses std::fma and the AVX2 path uses vfmadd, which
+// implement the same correctly-rounded fused operation, so runtime
+// dispatch does not change bits either. This is the guarantee the campaign
+// engine makes at trial granularity, pushed down into the kernels.
 //
 // IEEE faithfulness
 // -----------------
@@ -39,14 +38,12 @@
 //
 // Escape hatch: PFI_KERNEL=naive routes every GEMM through the retained
 // reference kernel (same IEEE semantics, no tiling) and every max pool
-// through its scalar reference loop, for bisecting numerical
-// differences; PFI_KERNEL_THREADS=N enables intra-op parallelism over the
-// fixed tile grid (default 1 — campaign-level parallelism already saturates
-// the machine, and the tile grid keeps results identical either way).
+// through its scalar reference loop, for bisecting numerical differences.
+// Every kernel runs on its caller's thread: campaigns parallelize across
+// independent trials (CampaignConfig::threads), not inside one GEMM.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "util/error.hpp"
@@ -60,39 +57,36 @@ inline constexpr int kNR = 16;
 /// Kernel implementation selector (PFI_KERNEL=naive|blocked).
 enum class Impl { kNaive, kBlocked };
 
-/// Active implementation: PFI_KERNEL env var, read once, overridable for
-/// tests/bisection via set_impl().
+/// Active implementation: the last set_impl(), else PFI_KERNEL, read on the
+/// first call (any other value than naive or blocked is a pfi::Error, thrown
+/// from that call). Safe to call from any thread.
 Impl active_impl();
 void set_impl(Impl impl);
 
 /// True when the CPU supports the AVX2+FMA microkernel (runtime dispatch).
 bool simd_available();
 
-/// Cache-block sizes. mc/nc are rounded up to multiples of mr/kNR so macro
-/// tiles always align with packed panel boundaries; mr must be 4, 6, or 8.
+/// The one cache-block configuration of the blocked fp32 and INT8 GEMMs.
 struct BlockConfig {
-  std::int64_t mc = 48;   ///< rows of C per macro tile (multiple of 4, 6, 8)
-  std::int64_t nc = 240;  ///< cols of C per macro tile
+  std::int64_t mc = 48;   ///< rows of C per macro tile (a multiple of mr)
+  std::int64_t nc = 240;  ///< cols of C per macro tile (a multiple of kNR)
   std::int64_t kc = 256;  ///< k-panel depth flushed to C per pass
-  int mr = 6;             ///< microkernel height (4, 6, or 8; 6 saturates AVX2)
+  int mr = 6;             ///< microkernel height: 6 x kNR saturates AVX2
 };
-const BlockConfig& block_config();
-void set_block_config(BlockConfig cfg);
-
-/// Intra-op worker count for the fixed tile grid (PFI_KERNEL_THREADS,
-/// default 1). Values > 1 split the tile grid over an internal pool; the
-/// grid itself never depends on this, so outputs are bit-identical.
-int threads();
-void set_threads(int n);
+constexpr BlockConfig block_config() { return {}; }
+static_assert(block_config().mc % block_config().mr == 0 &&
+                  block_config().nc % kNR == 0,
+              "macro tiles must align with packed panel boundaries");
 
 namespace detail {
-/// Run `tiles` independent tile tasks over the intra-op pool configured by
-/// threads() — inline when single-threaded, down to one tile, or nested
-/// inside another kernel region (re-entering the pool would deadlock).
-/// Shared by the fp32 core and the INT8 core in lowp.cpp; callers must make
-/// the task decomposition independent of the thread count.
-void run_tiles(std::int64_t tiles,
-               const std::function<void(std::int64_t)>& fn);
+/// Refuses an A-side panel height other than block_config().mr, the only
+/// height the microkernels have. Shared by the fp32 and INT8 packers and
+/// GEMMs.
+inline void check_panel_height(int mr, const char* who) {
+  PFI_CHECK(mr == block_config().mr)
+      << who << ": A panel height " << mr << ", the microkernels are "
+      << block_config().mr << " rows tall";
+}
 }  // namespace detail
 
 /// How a microkernel initializes the accumulator chain of the FIRST k panel
@@ -122,7 +116,8 @@ struct PackedPanels {
   bool empty() const { return data.empty(); }
 };
 
-/// Pack logical A(MxK) into mr-row panels. trans_a reads A(m,k) = a[k*lda+m].
+/// Pack logical A(MxK) into mr-row panels; mr must be block_config().mr.
+/// trans_a reads A(m,k) = a[k*lda+m].
 void pack_a(std::int64_t m, std::int64_t k, const float* a, std::int64_t lda,
             bool trans_a, int mr, PackedPanels& out);
 

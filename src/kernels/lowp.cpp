@@ -16,6 +16,8 @@ namespace {
 
 std::int64_t round_up_even(std::int64_t v) { return (v + 1) & ~std::int64_t{1}; }
 
+constexpr int kMR = block_config().mr;
+
 // ----------------------------------------------------------- isa dispatch ----
 
 bool madd_supported() {
@@ -84,15 +86,14 @@ std::int32_t load_pair(const std::int16_t* p) {
   return v;
 }
 
-template <int MR>
 void micro_i8_scalar(std::int64_t kp2, const std::int16_t* ap,
                      const std::int16_t* bp, std::int32_t* c,
                      std::int64_t ldc) {
-  std::int32_t acc[MR][kNR] = {};
+  std::int32_t acc[kMR][kNR] = {};
   for (std::int64_t q = 0; q < kp2; ++q) {
-    const std::int16_t* a = ap + q * MR * 2;
+    const std::int16_t* a = ap + q * kMR * 2;
     const std::int16_t* b = bp + q * kNR * 2;
-    for (int r = 0; r < MR; ++r) {
+    for (int r = 0; r < kMR; ++r) {
       const std::int32_t a0 = a[r * 2];
       const std::int32_t a1 = a[r * 2 + 1];
       for (int j = 0; j < kNR; ++j) {
@@ -100,7 +101,7 @@ void micro_i8_scalar(std::int64_t kp2, const std::int16_t* ap,
       }
     }
   }
-  for (int r = 0; r < MR; ++r) {
+  for (int r = 0; r < kMR; ++r) {
     std::memcpy(c + r * ldc, acc[r], sizeof(std::int32_t) * kNR);
   }
 }
@@ -111,63 +112,8 @@ void micro_i8_scalar(std::int64_t kp2, const std::int16_t* ap,
 // lane — with |code| <= 127 the pair sum is at most 2*127^2, far from i16
 // saturation, so the op is exact; vpaddd folds it into the accumulator.
 
-/// Four rows of a kNR-wide tile; `astride` is the A-panel i16 row stride per
-/// k-pair (2*4 for a 4-tall panel, 2*8 for one half of the 8-row kernel).
-__attribute__((target("avx2"))) inline void micro_i8_madd_half4(
-    std::int64_t kp2, const std::int16_t* ap, int astride,
-    const std::int16_t* bp, std::int32_t* c, std::int64_t ldc) {
-  __m256i c00 = _mm256_setzero_si256(), c01 = _mm256_setzero_si256();
-  __m256i c10 = _mm256_setzero_si256(), c11 = _mm256_setzero_si256();
-  __m256i c20 = _mm256_setzero_si256(), c21 = _mm256_setzero_si256();
-  __m256i c30 = _mm256_setzero_si256(), c31 = _mm256_setzero_si256();
-  for (std::int64_t q = 0; q < kp2; ++q) {
-    const __m256i b0 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(bp + q * kNR * 2));
-    const __m256i b1 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(bp + q * kNR * 2 + 16));
-    const std::int16_t* a = ap + q * astride;
-    __m256i av;
-    av = _mm256_set1_epi32(load_pair(a + 0));
-    c00 = _mm256_add_epi32(c00, _mm256_madd_epi16(av, b0));
-    c01 = _mm256_add_epi32(c01, _mm256_madd_epi16(av, b1));
-    av = _mm256_set1_epi32(load_pair(a + 2));
-    c10 = _mm256_add_epi32(c10, _mm256_madd_epi16(av, b0));
-    c11 = _mm256_add_epi32(c11, _mm256_madd_epi16(av, b1));
-    av = _mm256_set1_epi32(load_pair(a + 4));
-    c20 = _mm256_add_epi32(c20, _mm256_madd_epi16(av, b0));
-    c21 = _mm256_add_epi32(c21, _mm256_madd_epi16(av, b1));
-    av = _mm256_set1_epi32(load_pair(a + 6));
-    c30 = _mm256_add_epi32(c30, _mm256_madd_epi16(av, b0));
-    c31 = _mm256_add_epi32(c31, _mm256_madd_epi16(av, b1));
-  }
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(c + 0 * ldc), c00);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(c + 0 * ldc + 8), c01);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(c + 1 * ldc), c10);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(c + 1 * ldc + 8), c11);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(c + 2 * ldc), c20);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(c + 2 * ldc + 8), c21);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(c + 3 * ldc), c30);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(c + 3 * ldc + 8), c31);
-}
-
-__attribute__((target("avx2"))) void micro_i8_madd_4(std::int64_t kp2,
-                                                     const std::int16_t* ap,
-                                                     const std::int16_t* bp,
-                                                     std::int32_t* c,
-                                                     std::int64_t ldc) {
-  micro_i8_madd_half4(kp2, ap, 8, bp, c, ldc);
-}
-
-__attribute__((target("avx2"))) void micro_i8_madd_8(std::int64_t kp2,
-                                                     const std::int16_t* ap,
-                                                     const std::int16_t* bp,
-                                                     std::int32_t* c,
-                                                     std::int64_t ldc) {
-  micro_i8_madd_half4(kp2, ap, 16, bp, c, ldc);
-  micro_i8_madd_half4(kp2, ap + 8, 16, bp, c + 4 * ldc, ldc);
-}
-
 // 6x16: 12 accumulators + 2 B vectors + 1 broadcast = 15 ymm registers.
+static_assert(kMR == 6, "the SIMD INT8 microkernels are unrolled for 6 rows");
 __attribute__((target("avx2"))) void micro_i8_madd_6(std::int64_t kp2,
                                                      const std::int16_t* ap,
                                                      const std::int16_t* bp,
@@ -223,57 +169,6 @@ __attribute__((target("avx2"))) void micro_i8_madd_6(std::int64_t kp2,
 // exact i32 arithmetic (signed i16 pairs, non-saturating accumulate for our
 // operand range), doubling the per-cycle MAC rate.
 
-__attribute__((target("avx512vnni,avx512vl"))) inline void
-micro_i8_vnni_half4(std::int64_t kp2, const std::int16_t* ap, int astride,
-                    const std::int16_t* bp, std::int32_t* c,
-                    std::int64_t ldc) {
-  __m256i c00 = _mm256_setzero_si256(), c01 = _mm256_setzero_si256();
-  __m256i c10 = _mm256_setzero_si256(), c11 = _mm256_setzero_si256();
-  __m256i c20 = _mm256_setzero_si256(), c21 = _mm256_setzero_si256();
-  __m256i c30 = _mm256_setzero_si256(), c31 = _mm256_setzero_si256();
-  for (std::int64_t q = 0; q < kp2; ++q) {
-    const __m256i b0 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(bp + q * kNR * 2));
-    const __m256i b1 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(bp + q * kNR * 2 + 16));
-    const std::int16_t* a = ap + q * astride;
-    __m256i av;
-    av = _mm256_set1_epi32(load_pair(a + 0));
-    c00 = _mm256_dpwssd_epi32(c00, av, b0);
-    c01 = _mm256_dpwssd_epi32(c01, av, b1);
-    av = _mm256_set1_epi32(load_pair(a + 2));
-    c10 = _mm256_dpwssd_epi32(c10, av, b0);
-    c11 = _mm256_dpwssd_epi32(c11, av, b1);
-    av = _mm256_set1_epi32(load_pair(a + 4));
-    c20 = _mm256_dpwssd_epi32(c20, av, b0);
-    c21 = _mm256_dpwssd_epi32(c21, av, b1);
-    av = _mm256_set1_epi32(load_pair(a + 6));
-    c30 = _mm256_dpwssd_epi32(c30, av, b0);
-    c31 = _mm256_dpwssd_epi32(c31, av, b1);
-  }
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(c + 0 * ldc), c00);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(c + 0 * ldc + 8), c01);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(c + 1 * ldc), c10);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(c + 1 * ldc + 8), c11);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(c + 2 * ldc), c20);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(c + 2 * ldc + 8), c21);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(c + 3 * ldc), c30);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(c + 3 * ldc + 8), c31);
-}
-
-__attribute__((target("avx512vnni,avx512vl"))) void micro_i8_vnni_4(
-    std::int64_t kp2, const std::int16_t* ap, const std::int16_t* bp,
-    std::int32_t* c, std::int64_t ldc) {
-  micro_i8_vnni_half4(kp2, ap, 8, bp, c, ldc);
-}
-
-__attribute__((target("avx512vnni,avx512vl"))) void micro_i8_vnni_8(
-    std::int64_t kp2, const std::int16_t* ap, const std::int16_t* bp,
-    std::int32_t* c, std::int64_t ldc) {
-  micro_i8_vnni_half4(kp2, ap, 16, bp, c, ldc);
-  micro_i8_vnni_half4(kp2, ap + 8, 16, bp, c + 4 * ldc, ldc);
-}
-
 __attribute__((target("avx512vnni,avx512vl"))) void micro_i8_vnni_6(
     std::int64_t kp2, const std::int16_t* ap, const std::int16_t* bp,
     std::int32_t* c, std::int64_t ldc) {
@@ -328,21 +223,14 @@ __attribute__((target("avx512vnni,avx512vl"))) void micro_i8_vnni_6(
 using MicroI8Fn = void (*)(std::int64_t, const std::int16_t*,
                            const std::int16_t*, std::int32_t*, std::int64_t);
 
-MicroI8Fn micro_i8_for(int mr, I8Isa isa) {
+MicroI8Fn micro_i8_for(I8Isa isa) {
 #ifdef PFI_KERNELS_X86
-  if (isa == I8Isa::kVnni) {
-    return mr == 8 ? micro_i8_vnni_8
-                   : (mr == 6 ? micro_i8_vnni_6 : micro_i8_vnni_4);
-  }
-  if (isa == I8Isa::kMadd) {
-    return mr == 8 ? micro_i8_madd_8
-                   : (mr == 6 ? micro_i8_madd_6 : micro_i8_madd_4);
-  }
+  if (isa == I8Isa::kVnni) return micro_i8_vnni_6;
+  if (isa == I8Isa::kMadd) return micro_i8_madd_6;
 #else
   (void)isa;
 #endif
-  return mr == 8 ? micro_i8_scalar<8>
-                 : (mr == 6 ? micro_i8_scalar<6> : micro_i8_scalar<4>);
+  return micro_i8_scalar;
 }
 
 // --------------------------------------------------------------- packing ----
@@ -353,8 +241,7 @@ template <typename ScaleOf>
 void pack_a_codes(std::int64_t m, std::int64_t k, const float* a,
                   std::int64_t lda, bool trans_a, int mr, ScaleOf scale_of,
                   PackedPanelsI8& out) {
-  PFI_CHECK(mr == 4 || mr == 6 || mr == 8)
-      << "quantize_pack_a mr must be 4, 6, or 8, got " << mr;
+  detail::check_panel_height(mr, "quantize_pack_a");
   const std::int64_t kp = round_up_even(k);
   const std::int64_t panels = (m + mr - 1) / mr;
   out.data.resize(static_cast<std::size_t>(panels * mr * kp));
@@ -575,6 +462,7 @@ void pack_b_static_strided(std::int64_t k, std::int64_t n, const float* b,
 void pack_a_static_rows(std::int64_t m, std::int64_t k, const float* a,
                         std::int64_t lda, int mr, float scale,
                         PackedPanelsI8& out) {
+  detail::check_panel_height(mr, "quantize_pack_a");
   const std::int64_t kp = round_up_even(k);
   const std::int64_t panels = (m + mr - 1) / mr;
   // Zero-fill covers dead lanes and k-padding in one memset.
@@ -649,8 +537,6 @@ void quantize_pack_a_i8_static(std::int64_t m, std::int64_t k, const float* a,
                                float scale, PackedPanelsI8& out) {
   out.scale.assign(1, scale);
   if (!trans_a) {
-    PFI_CHECK(mr == 4 || mr == 6 || mr == 8)
-        << "quantize_pack_a mr must be 4, 6, or 8, got " << mr;
     pack_a_static_rows(m, k, a, lda, mr, scale, out);
     return;
   }
@@ -772,8 +658,7 @@ float finite_absmax_i8(const float* p, std::int64_t n) {
 void gemm_i8(std::int64_t m, std::int64_t n, std::int64_t k,
              const PackedPanelsI8& a, const PackedPanelsI8& b, std::int32_t* c,
              std::int64_t ldc) {
-  PFI_CHECK(a.panel == 4 || a.panel == 6 || a.panel == 8)
-      << "gemm_i8: A pack has panel " << a.panel;
+  detail::check_panel_height(a.panel, "gemm_i8");
   PFI_CHECK(b.panel == kNR) << "gemm_i8: B pack has panel " << b.panel;
   PFI_CHECK(a.k == k && b.k == k)
       << "gemm_i8: packs have K " << a.k << "/" << b.k << ", need " << k;
@@ -793,42 +678,36 @@ void gemm_i8(std::int64_t m, std::int64_t n, std::int64_t k,
     return;
   }
 
-  const int mr = a.panel;
+  // The fp32 core's tile grid, walked the same way. Integer results do not
+  // depend on it; it keeps the cache behaviour alike across dtypes.
+  constexpr BlockConfig cfg = block_config();
+  constexpr int mr = kMR;
   const std::int64_t kp2 = a.kp / 2;
-  const BlockConfig cfg = block_config();
-  // Same fixed tile grid as the fp32 core (cosmetic here — integer results
-  // are grid-invariant regardless — but it keeps cache behavior and the
-  // threading structure identical across dtypes).
-  const std::int64_t mc = ((cfg.mc + mr - 1) / mr) * mr;
-  const std::int64_t nc = ((cfg.nc + kNR - 1) / kNR) * kNR;
-  const std::int64_t ti = (m + mc - 1) / mc;
-  const std::int64_t tj = (n + nc - 1) / nc;
-  const MicroI8Fn micro = micro_i8_for(mr, resolve(g_i8_isa));
-
-  detail::run_tiles(ti * tj, [&](std::int64_t t) {
-    const std::int64_t i0 = (t / tj) * mc;
-    const std::int64_t i1 = std::min(m, i0 + mc);
-    const std::int64_t j0 = (t % tj) * nc;
-    const std::int64_t j1 = std::min(n, j0 + nc);
-    std::int32_t scratch[8 * kNR];
-    for (std::int64_t j = j0; j < j1; j += kNR) {
-      const int nv = static_cast<int>(std::min<std::int64_t>(kNR, n - j));
-      const std::int16_t* bp = b.data.data() + (j / kNR) * (kNR * b.kp);
-      for (std::int64_t i = i0; i < i1; i += mr) {
-        const int mv = static_cast<int>(std::min<std::int64_t>(mr, m - i));
-        const std::int16_t* ap = a.data.data() + (i / mr) * (mr * a.kp);
-        if (mv == mr && nv == kNR) {
-          micro(kp2, ap, bp, c + i * ldc + j, ldc);
-          continue;
-        }
-        micro(kp2, ap, bp, scratch, kNR);
-        for (int r = 0; r < mv; ++r) {
-          std::memcpy(c + (i + r) * ldc + j, scratch + r * kNR,
-                      sizeof(std::int32_t) * nv);
+  const MicroI8Fn micro = micro_i8_for(resolve(g_i8_isa));
+  std::int32_t scratch[mr * kNR];
+  for (std::int64_t i0 = 0; i0 < m; i0 += cfg.mc) {
+    const std::int64_t i1 = std::min(m, i0 + cfg.mc);
+    for (std::int64_t j0 = 0; j0 < n; j0 += cfg.nc) {
+      const std::int64_t j1 = std::min(n, j0 + cfg.nc);
+      for (std::int64_t j = j0; j < j1; j += kNR) {
+        const int nv = static_cast<int>(std::min<std::int64_t>(kNR, n - j));
+        const std::int16_t* bp = b.data.data() + (j / kNR) * (kNR * b.kp);
+        for (std::int64_t i = i0; i < i1; i += mr) {
+          const int mv = static_cast<int>(std::min<std::int64_t>(mr, m - i));
+          const std::int16_t* ap = a.data.data() + (i / mr) * (mr * a.kp);
+          if (mv == mr && nv == kNR) {
+            micro(kp2, ap, bp, c + i * ldc + j, ldc);
+            continue;
+          }
+          micro(kp2, ap, bp, scratch, kNR);
+          for (int r = 0; r < mv; ++r) {
+            std::memcpy(c + (i + r) * ldc + j, scratch + r * kNR,
+                        sizeof(std::int32_t) * nv);
+          }
         }
       }
     }
-  });
+  }
 }
 
 void requantize_rows(std::int64_t m, std::int64_t n, const std::int32_t* acc,
@@ -1035,7 +914,7 @@ const PackedPanels& WeightPackCache::packed_a(std::int64_t m, std::int64_t k,
                                               std::optional<Storage16> round) {
   PFI_CHECK((trans_a ? lda == m : lda == k))
       << "WeightPackCache::packed_a needs a contiguous weight matrix";
-  const Key key{fingerprint(w, m * k), m, k, block_config().mr, round};
+  const Key key{fingerprint(w, m * k), m, k, kMR, round};
   if (f32_key_ != key) {
     pack_a(m, k, w, lda, trans_a, key.panel, f32_);
     if (round) {
@@ -1070,8 +949,8 @@ const PackedPanelsI8& WeightPackCache::packed_a_i8(
     bool trans_a, const float* row_scales) {
   PFI_CHECK((trans_a ? lda == m : lda == k))
       << "WeightPackCache::packed_a_i8 needs a contiguous weight matrix";
-  const Key key{fp_with_scales(w, m * k, row_scales, m), m, k,
-                block_config().mr, std::nullopt};
+  const Key key{fp_with_scales(w, m * k, row_scales, m), m, k, kMR,
+                std::nullopt};
   if (i8_key_ != key) {
     quantize_pack_a_i8(m, k, w, lda, trans_a, key.panel, row_scales, i8_);
     i8_key_ = key;

@@ -13,10 +13,10 @@
 // bit-deterministic tool. With |code| <= 127 the i16 pair products are at
 // most 2*127^2 = 32258, so madd never saturates, and the i32 accumulator is
 // exact for K <= kMaxI8Depth. Integer addition is associative, so the
-// result is bit-identical for EVERY tile grid, ISA (scalar / AVX2 madd /
-// VNNI), and thread count — a stronger form of the fp32 kernel's
-// fixed-chain guarantee. The fixed tile grid and ascending-k chains are
-// kept anyway so the execution structure mirrors kernels.cpp.
+// result is bit-identical for every ISA (scalar / AVX2 madd / VNNI) and
+// would be under any tile grid — a stronger form of the fp32 kernel's
+// fixed-chain guarantee. gemm_i8 walks the fp32 kernel's tile grid anyway,
+// so the execution structure mirrors kernels.cpp.
 //
 // Quantization
 // ------------
@@ -185,9 +185,8 @@ void quantize_pack_b_i8_stream(std::int64_t k, std::int64_t n, float scale,
 float finite_absmax_stream(std::int64_t k, std::int64_t n, const BTileFn& tile);
 
 /// Exact integer GEMM over packed INT8 operands: C(i32, MxN, ldc) =
-/// sum_k a_code(i,k) * b_code(k,j). Fixed tile grid from block_config(),
-/// intra-op threading from threads(); every configuration produces
-/// identical bits (integer adds are associative).
+/// sum_k a_code(i,k) * b_code(k,j), over block_config()'s tile grid on the
+/// calling thread. `a` must be packed with mr = block_config().mr.
 void gemm_i8(std::int64_t m, std::int64_t n, std::int64_t k,
              const PackedPanelsI8& a, const PackedPanelsI8& b, std::int32_t* c,
              std::int64_t ldc);
@@ -285,7 +284,7 @@ class WeightPackCache {
 
  private:
   /// What a cached pack was built from. `panel` is mr for A-side packs and
-  /// kNR for B-side packs (mr is 4, 6 or 8), so it also names the side.
+  /// kNR for B-side packs (mr is 6, kNR 16), so it also names the side.
   struct Key {
     std::uint64_t fp = 0;
     std::int64_t span = 0;

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <fstream>
 #include <map>
+#include <set>
 
 #include "nn/batchnorm.hpp"
 
@@ -87,19 +88,24 @@ void load_parameters(Module& model, const std::string& path) {
       << "'" << path << "' holds " << count << " tensors but the model has "
       << tensors.size();
 
-  std::size_t restored = 0;
+  // With `count` equal to the model's tensor count, distinct names that
+  // all exist in the model restore every tensor exactly once.
+  std::set<std::string> restored;
   for (std::uint64_t i = 0; i < count; ++i) {
     const auto name_len = read_pod<std::uint32_t>(in);
     PFI_CHECK(in.good() && name_len < 4096) << "corrupt entry in '" << path
                                             << "'";
     std::string name(name_len, '\0');
     in.read(name.data(), name_len);
+    PFI_CHECK(in.good()) << "truncated tensor name in '" << path << "'";
     const auto numel = read_pod<std::uint64_t>(in);
 
     const auto it = tensors.find(name);
     PFI_CHECK(it != tensors.end())
         << "'" << path << "' contains tensor '" << name
         << "' which the model does not have";
+    PFI_CHECK(restored.insert(name).second)
+        << "'" << path << "' holds tensor '" << name << "' twice";
     PFI_CHECK(static_cast<std::uint64_t>(it->second.numel()) == numel)
         << "tensor '" << name << "' has " << numel << " elements in '" << path
         << "' but " << it->second.numel() << " in the model";
@@ -108,10 +114,9 @@ void load_parameters(Module& model, const std::string& path) {
             static_cast<std::streamsize>(d.size() * sizeof(float)));
     PFI_CHECK(in.good()) << "truncated tensor '" << name << "' in '" << path
                          << "'";
-    ++restored;
   }
-  PFI_CHECK(restored == tensors.size())
-      << "restored " << restored << " of " << tensors.size() << " tensors";
+  PFI_CHECK(in.peek() == std::ifstream::traits_type::eof())
+      << "'" << path << "' has bytes after its last tensor";
 }
 
 std::shared_ptr<Module> clone_model(Module& src) {

@@ -23,8 +23,9 @@ namespace pfi::nn {
 void save_parameters(Module& model, const std::string& path);
 
 /// Restore parameters saved by save_parameters. Every entry in the file
-/// must match a parameter (by name and element count) in `model`, and every
-/// model parameter must be present in the file.
+/// must match a parameter (by name and element count) in `model`, every
+/// model parameter must be present in the file exactly once, and no byte
+/// may follow the last entry; anything else throws pfi::Error.
 void load_parameters(Module& model, const std::string& path);
 
 /// Deep-copy all parameters and batch-norm statistics from `src` to `dst`

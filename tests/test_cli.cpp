@@ -116,6 +116,13 @@ TEST(Cli, BadErrorModelAndDtypeSpecs) {
   expect_error({"--error", "frob"}, "unknown error model 'frob'");
   expect_error({"--error", "random:1"}, "random takes 0 or 2 arguments");
   expect_error({"--error", "const:x"}, "'x' is not a number");
+  // Not an integer bit, or outside what the model accepts: refused as data
+  // naming the spec — never truncated, never thrown by a constructor.
+  for (const std::string spec : {"bitflip:3.7", "bitflip:1e1", "bitflip:nan",
+                                 "bitflip:1e10", "bitflip:99", "noise:nan",
+                                 "random:2:1"}) {
+    expect_error({"--error", spec}, "error model '" + spec + "'");
+  }
   expect_error({"--dtype", "fp64"}, "unknown dtype 'fp64'");
   expect_error({"--sampler", "quantum"}, "unknown sampler 'quantum'");
 }
@@ -128,6 +135,17 @@ TEST(Cli, ErrorModelSpecParser) {
   std::string why;
   EXPECT_FALSE(parse_error_model_spec("bitflip:1:2", &why).has_value());
   EXPECT_NE(why.find("at most one argument"), std::string::npos);
+  EXPECT_EQ(parse_error_model_spec("bitflip:-1")->name,
+            "single_bit_flip[random]");
+  EXPECT_EQ(parse_error_model_spec("bitflip:0")->name, "single_bit_flip[0]");
+  for (const std::string spec :
+       {"bitflip:3.7", "bitflip:1e1", "bitflip:nan", "bitflip:1e10",
+        "bitflip:32", "bitflip:-2", "bitflip:99", "noise:nan", "noise:0",
+        "random:2:1", "random:1:1", "const:1e39"}) {
+    why.clear();
+    EXPECT_FALSE(parse_error_model_spec(spec, &why).has_value()) << spec;
+    EXPECT_NE(why.find("'" + spec + "'"), std::string::npos) << why;
+  }
 }
 
 TEST(Cli, DtypeNameParser) {

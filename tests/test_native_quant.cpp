@@ -5,8 +5,8 @@
 // kernel it can be validated EXACTLY:
 //  1. gemm_i8 against an int64-accumulator scalar oracle over a 1..67
 //     shape sweep (no error bounds — the i32 result must match to the bit),
-//  2. memcmp bit-identity across block configurations x thread counts x
-//     ISAs (scalar / AVX2 madd / VNNI, whichever the host supports),
+//  2. memcmp bit-identity across ISAs (scalar / AVX2 madd / VNNI,
+//     whichever the host supports),
 //  3. the full Conv2d/Linear forward_int8 path against a from-scratch
 //     oracle that re-derives im2col, the quantizers, and the fma
 //     requantize epilogue — bit-equal, including grouped/strided convs,
@@ -18,6 +18,7 @@
 // BIT-EQUAL to the fp32 forward over pre-narrowed operands.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -42,11 +43,7 @@ constexpr float kQNaN = std::numeric_limits<float>::quiet_NaN();
 /// every test.
 class NativeGemmI8 : public ::testing::Test {
  protected:
-  void TearDown() override {
-    set_block_config(BlockConfig{});
-    set_threads(1);
-    set_i8_isa(I8Isa::kAuto);
-  }
+  void TearDown() override { set_i8_isa(I8Isa::kAuto); }
 };
 using NativeConvInt8 = NativeGemmI8;
 using NativeLinearInt8 = NativeGemmI8;
@@ -99,70 +96,75 @@ bool bit_equal(const Tensor& a, const Tensor& b) {
 TEST_F(NativeGemmI8, MatchesInt64OracleOnShapeSweep) {
   Rng rng(0x17e8);
   const std::int64_t dims[] = {1, 2, 3, 5, 8, 13, 31, 67};
-  int case_index = 0;
+  std::vector<std::array<std::int64_t, 3>> shapes;
   for (const auto m : dims) {
     for (const auto n : dims) {
-      for (const auto k : dims) {
-        const bool ta = (case_index & 1) != 0;
-        const bool tb = (case_index & 2) != 0;
-        ++case_index;
-        const std::int64_t lda = ta ? m : k;
-        const std::int64_t ldb = tb ? k : n;
-        const auto a = random_matrix(m * k, rng);
-        const auto b = random_matrix(k * n, rng);
+      for (const auto k : dims) shapes.push_back({m, n, k});
+    }
+  }
+  // Two 48-row and two 240-column macro tiles of gemm_i8's grid.
+  shapes.push_back({49, 241, 129});
+  int case_index = 0;
+  for (const auto& [m, n, k] : shapes) {
+    const bool ta = (case_index & 1) != 0;
+    const bool tb = (case_index & 2) != 0;
+    ++case_index;
+    const std::int64_t lda = ta ? m : k;
+    const std::int64_t ldb = tb ? k : n;
+    const auto a = random_matrix(m * k, rng);
+    const auto b = random_matrix(k * n, rng);
 
-        // Per-row weight scales for A, one dynamic tensor scale for B —
-        // the conv operand roles.
-        const auto row_scales = per_row_scales_i8(m, k, a.data(), lda, ta);
-        ASSERT_EQ(row_scales.size(), static_cast<std::size_t>(m));
-        const float b_scale = scale_from_absmax(absmax_of(b));
+    // Per-row weight scales for A, one dynamic tensor scale for B —
+    // the conv operand roles.
+    const auto row_scales = per_row_scales_i8(m, k, a.data(), lda, ta);
+    ASSERT_EQ(row_scales.size(), static_cast<std::size_t>(m));
+    const float b_scale = scale_from_absmax(absmax_of(b));
 
-        PackedPanelsI8 pa, pb;
-        quantize_pack_a_i8(m, k, a.data(), lda, ta, block_config().mr,
-                           row_scales.data(), pa);
-        quantize_pack_b_i8_tensor(k, n, b.data(), ldb, tb, pb);
-        ASSERT_EQ(pb.scale.size(), 1u);
-        EXPECT_EQ(pb.scale[0], b_scale)
-            << "per-tensor pack scale drifted from scale_from_absmax";
+    PackedPanelsI8 pa, pb;
+    quantize_pack_a_i8(m, k, a.data(), lda, ta, block_config().mr,
+                       row_scales.data(), pa);
+    quantize_pack_b_i8_tensor(k, n, b.data(), ldb, tb, pb);
+    ASSERT_EQ(pb.scale.size(), 1u);
+    EXPECT_EQ(pb.scale[0], b_scale)
+        << "per-tensor pack scale drifted from scale_from_absmax";
 
-        std::vector<std::int32_t> c(static_cast<std::size_t>(m * n));
-        gemm_i8(m, n, k, pa, pb, c.data(), n);
+    std::vector<std::int32_t> c(static_cast<std::size_t>(m * n));
+    gemm_i8(m, n, k, pa, pb, c.data(), n);
 
-        // The oracle re-quantizes every element independently with the
-        // same scalar quantizer and accumulates in int64; the kernel's
-        // i32 result must match exactly.
-        for (std::int64_t i = 0; i < m; ++i) {
-          for (std::int64_t j = 0; j < n; ++j) {
-            std::int64_t acc = 0;
-            for (std::int64_t kk = 0; kk < k; ++kk) {
-              const std::int64_t qa =
-                  quantize_unit(logical(a, lda, ta, i, kk), row_scales[i]);
-              const std::int64_t qb =
-                  quantize_unit(logical(b, ldb, tb, kk, j), b_scale);
-              acc += qa * qb;
-            }
-            ASSERT_EQ(static_cast<std::int64_t>(
-                          c[static_cast<std::size_t>(i * n + j)]),
-                      acc)
-                << "m=" << m << " n=" << n << " k=" << k << " ta=" << ta
-                << " tb=" << tb << " at (" << i << "," << j << ")";
-          }
+    // The oracle re-quantizes every element independently with the
+    // same scalar quantizer and accumulates in int64; the kernel's
+    // i32 result must match exactly.
+    for (std::int64_t i = 0; i < m; ++i) {
+      for (std::int64_t j = 0; j < n; ++j) {
+        std::int64_t acc = 0;
+        for (std::int64_t kk = 0; kk < k; ++kk) {
+          const std::int64_t qa =
+              quantize_unit(logical(a, lda, ta, i, kk), row_scales[i]);
+          const std::int64_t qb =
+              quantize_unit(logical(b, ldb, tb, kk, j), b_scale);
+          acc += qa * qb;
         }
+        ASSERT_EQ(static_cast<std::int64_t>(
+                      c[static_cast<std::size_t>(i * n + j)]),
+                  acc)
+            << "m=" << m << " n=" << n << " k=" << k << " ta=" << ta
+            << " tb=" << tb << " at (" << i << "," << j << ")";
       }
     }
   }
 }
 
-TEST_F(NativeGemmI8, BitIdenticalAcrossBlockConfigsThreadsAndIsa) {
+TEST_F(NativeGemmI8, BitIdenticalAcrossIsa) {
   Rng rng(0x5ca1e);
   const std::int64_t m = 67, n = 45, k = 129;
   const auto a = random_matrix(m * k, rng);
   const auto b = random_matrix(k * n, rng);
   const auto row_scales = per_row_scales_i8(m, k, a.data(), k, false);
 
-  const auto run = [&](int mr) {
+  const auto run = [&] {
     PackedPanelsI8 pa, pb;
-    quantize_pack_a_i8(m, k, a.data(), k, false, mr, row_scales.data(), pa);
+    quantize_pack_a_i8(m, k, a.data(), k, false, block_config().mr,
+                       row_scales.data(), pa);
     quantize_pack_b_i8_tensor(k, n, b.data(), n, false, pb);
     std::vector<std::int32_t> c(static_cast<std::size_t>(m * n));
     gemm_i8(m, n, k, pa, pb, c.data(), n);
@@ -170,33 +172,14 @@ TEST_F(NativeGemmI8, BitIdenticalAcrossBlockConfigsThreadsAndIsa) {
   };
 
   set_i8_isa(I8Isa::kScalar);
-  const auto baseline = run(block_config().mr);
-
-  const BlockConfig configs[] = {
-      {.mc = 8, .nc = 8, .kc = 8, .mr = 4},
-      {.mc = 8, .nc = 16, .kc = 1, .mr = 8},
-      {.mc = 16, .nc = 8, .kc = 7, .mr = 4},
-      {.mc = 32, .nc = 24, .kc = 64, .mr = 6},
-      {.mc = 256, .nc = 512, .kc = 1024, .mr = 8},  // one tile, one panel
-      {.mc = 40, .nc = 40, .kc = 33, .mr = 4},
-  };
+  const auto baseline = run();
   for (const I8Isa isa : supported_i8_isas()) {
     set_i8_isa(isa);
-    for (const auto& cfg : configs) {
-      set_block_config(cfg);
-      for (const int t : {1, 2, 4}) {
-        set_threads(t);
-        const auto c = run(cfg.mr);
-        EXPECT_EQ(std::memcmp(baseline.data(), c.data(),
-                              c.size() * sizeof(std::int32_t)),
-                  0)
-            << "isa=" << static_cast<int>(isa) << " mc=" << cfg.mc
-            << " nc=" << cfg.nc << " kc=" << cfg.kc << " mr=" << cfg.mr
-            << " threads=" << t << " changed INT8 GEMM bits";
-      }
-    }
-    set_block_config(BlockConfig{});
-    set_threads(1);
+    const auto c = run();
+    EXPECT_EQ(std::memcmp(baseline.data(), c.data(),
+                          c.size() * sizeof(std::int32_t)),
+              0)
+        << "isa=" << static_cast<int>(isa) << " changed INT8 GEMM bits";
   }
 }
 
@@ -372,7 +355,7 @@ TEST_F(NativeConvInt8, ForwardMatchesExactOracleAcrossConfigSweep) {
   }
 }
 
-TEST_F(NativeConvInt8, BitIdenticalAcrossThreadsBlocksAndIsa) {
+TEST_F(NativeConvInt8, BitIdenticalAcrossIsa) {
   Rng rng(92);
   nn::Conv2d conv(
       nn::Conv2dOptions{.in_channels = 4, .out_channels = 6, .kernel = 3,
@@ -383,22 +366,10 @@ TEST_F(NativeConvInt8, BitIdenticalAcrossThreadsBlocksAndIsa) {
   const Tensor baseline = conv(x).clone();
   for (const I8Isa isa : supported_i8_isas()) {
     set_i8_isa(isa);
-    for (const BlockConfig& cfg :
-         {BlockConfig{.mc = 8, .nc = 8, .kc = 8, .mr = 4},
-          BlockConfig{.mc = 16, .nc = 32, .kc = 16, .mr = 6},
-          BlockConfig{.mc = 64, .nc = 64, .kc = 128, .mr = 8}}) {
-      set_block_config(cfg);
-      for (const int t : {1, 2, 4}) {
-        set_threads(t);
-        conv.invalidate_weight_packs();  // force a repack under this config
-        const Tensor y = conv(x).clone();
-        EXPECT_TRUE(bit_equal(baseline, y))
-            << "isa=" << static_cast<int>(isa) << " mr=" << cfg.mr
-            << " threads=" << t << " changed native conv bits";
-      }
-    }
-    set_block_config(BlockConfig{});
-    set_threads(1);
+    conv.invalidate_weight_packs();  // force a repack under this ISA
+    const Tensor y = conv(x).clone();
+    EXPECT_TRUE(bit_equal(baseline, y))
+        << "isa=" << static_cast<int>(isa) << " changed native conv bits";
   }
 }
 

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "models/zoo.hpp"
 #include "nn/nn.hpp"
@@ -70,6 +74,47 @@ TEST(Serialize, RejectsGarbageFile) {
   auto m = models::make_model("squeezenet", {.num_classes = 10}, rng);
   EXPECT_THROW(load_parameters(*m, path), Error);
   EXPECT_THROW(load_parameters(*m, "/nonexistent/dir/x.pfiw"), Error);
+
+  // A valid file cut into its 16-byte header and its entries (u32 name
+  // length, name, u64 numel, numel floats), then reassembled wrongly.
+  save_parameters(*m, path);
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  std::vector<std::string> entries, names;
+  for (std::size_t at = 16; at < bytes.size();) {
+    std::uint32_t name_len = 0;
+    std::uint64_t numel = 0;
+    std::memcpy(&name_len, bytes.data() + at, sizeof(name_len));
+    std::memcpy(&numel, bytes.data() + at + 4 + name_len, sizeof(numel));
+    const std::size_t len = 4 + name_len + 8 + numel * sizeof(float);
+    entries.push_back(bytes.substr(at, len));
+    names.push_back(bytes.substr(at + 4, name_len));
+    at += len;
+  }
+  ASSERT_GE(entries.size(), 2u);
+  const auto refusal = [&](const std::string& content) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << content;
+    }
+    try {
+      load_parameters(*m, path);
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("loaded");
+  };
+  // Entry 0 again in place of entry 1: the entry count still matches, but
+  // the tensor of entry 1 would keep whatever value it held.
+  std::string repeated = bytes.substr(0, 16) + entries[0] + entries[0];
+  for (std::size_t i = 2; i < entries.size(); ++i) repeated += entries[i];
+  EXPECT_NE(refusal(repeated).find("tensor '" + names[0] + "' twice"),
+            std::string::npos);
+  EXPECT_NE(refusal(bytes + "7 bytes").find("bytes after its last tensor"),
+            std::string::npos);
   std::remove(path.c_str());
 }
 

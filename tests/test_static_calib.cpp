@@ -46,11 +46,7 @@ constexpr float kQNaN = std::numeric_limits<float>::quiet_NaN();
 /// every test.
 class StaticCalibKernels : public ::testing::Test {
  protected:
-  void TearDown() override {
-    set_block_config(BlockConfig{});
-    set_threads(1);
-    set_i8_isa(I8Isa::kAuto);
-  }
+  void TearDown() override { set_i8_isa(I8Isa::kAuto); }
 };
 using StaticCalibFusion = StaticCalibKernels;
 using StaticCalibInjector = StaticCalibKernels;
@@ -251,20 +247,15 @@ TEST_F(StaticCalibKernels, ReluEpilogueBitEqualsUnfusedGemmThenRelu) {
       {Epilogue::kReluBiasRow, Epilogue::kBiasRow, bias.data()},
   };
   for (const auto& ec : cases) {
-    for (const BlockConfig& cfg :
-         {BlockConfig{}, BlockConfig{.mc = 16, .nc = 16, .kc = 16, .mr = 4}}) {
-      set_block_config(cfg);
-      gemm_blocked(m, n, k, a.data(), k, false, b.data(), n, false,
-                   fused.data(), n, ec.fused, ec.bias);
-      gemm_blocked(m, n, k, a.data(), k, false, b.data(), n, false,
-                   plain.data(), n, ec.base, ec.bias);
-      for (auto& v : plain) v = std::max(v, 0.0f);
-      EXPECT_EQ(std::memcmp(fused.data(), plain.data(),
-                            plain.size() * sizeof(float)),
-                0)
-          << "blocked fused-ReLU epilogue diverged, mr=" << cfg.mr;
-    }
-    set_block_config(BlockConfig{});
+    gemm_blocked(m, n, k, a.data(), k, false, b.data(), n, false,
+                 fused.data(), n, ec.fused, ec.bias);
+    gemm_blocked(m, n, k, a.data(), k, false, b.data(), n, false,
+                 plain.data(), n, ec.base, ec.bias);
+    for (auto& v : plain) v = std::max(v, 0.0f);
+    EXPECT_EQ(std::memcmp(fused.data(), plain.data(),
+                          plain.size() * sizeof(float)),
+              0)
+        << "blocked fused-ReLU epilogue diverged";
     naive_gemm(m, n, k, a.data(), k, false, b.data(), n, false, fused.data(),
                n, ec.fused, ec.bias);
     naive_gemm(m, n, k, a.data(), k, false, b.data(), n, false, plain.data(),
@@ -580,7 +571,7 @@ TEST_F(StaticCalibInjector, StaticInjectorWiresFusionAndInjectionDomain) {
   EXPECT_EQ(fc->native_dtype(), LowPrec::kNone);
 }
 
-TEST_F(StaticCalibInjector, StaticForwardBitIdenticalAcrossIsaThreadsCache) {
+TEST_F(StaticCalibInjector, StaticForwardBitIdenticalAcrossIsaAndCache) {
   auto model = fusion_model(41);
   auto static_act = std::make_shared<quant::StaticActQuant>();
   {
@@ -601,18 +592,13 @@ TEST_F(StaticCalibInjector, StaticForwardBitIdenticalAcrossIsaThreadsCache) {
   }
   for (const I8Isa isa : supported_i8_isas()) {
     set_i8_isa(isa);
-    for (const int threads : {1, 4}) {
-      set_threads(threads);
-      for (const bool cache : {true, false}) {
-        core::FiConfig c = cfg;
-        c.prefix_cache = cache;
-        core::FaultInjector fi(model, c);
-        EXPECT_TRUE(bit_equal(baseline, fi.forward(x).clone()))
-            << "isa=" << static_cast<int>(isa) << " threads=" << threads
-            << " cache=" << cache;
-      }
+    for (const bool cache : {true, false}) {
+      core::FiConfig c = cfg;
+      c.prefix_cache = cache;
+      core::FaultInjector fi(model, c);
+      EXPECT_TRUE(bit_equal(baseline, fi.forward(x).clone()))
+          << "isa=" << static_cast<int>(isa) << " cache=" << cache;
     }
-    set_threads(1);
   }
 }
 
