@@ -23,6 +23,12 @@
 //               separately; the row reports their sum and the footer the
 //               weighted phase breakdown.
 //
+// The last column times what every Conv2d/Linear forward pays BEFORE its
+// GEMM: a cache hit of kernels::WeightPackCache::packed_a on the shape's
+// weight matrix, which re-reads every weight to check the pack is current.
+// It is reported in ns per weight; the footer gives the weighted lookup
+// time as a share of the weighted blocked-GEMM time.
+//
 // Environment knob: PFI_BENCH_REPS_MS (target ms per measurement, default
 // 300). Every kernel runs on one thread, as it does inside a campaign: the
 // campaign engine parallelizes across trials, not inside one GEMM.
@@ -121,15 +127,17 @@ int main() {
   }
   shapes = dedup(std::move(shapes));
 
-  std::printf("%-34s %6s %6s %6s | %9s %9s %9s %9s | %7s %7s\n",
+  std::printf("%-34s %6s %6s %6s | %9s %9s %9s %9s | %7s %7s | %7s\n",
               "layer (first of dup)", "M", "N", "K", "naive", "blocked",
-              "int8-gemm", "int8-path", "blk/nve", "i8/blk");
-  std::printf("%-34s %6s %6s %6s | %9s %9s %9s %9s |\n", "", "", "", "",
-              "GFLOP/s", "GFLOP/s", "GOP/s", "GOP/s");
+              "int8-gemm", "int8-path", "blk/nve", "i8/blk", "lookup");
+  std::printf("%-34s %6s %6s %6s | %9s %9s %9s %9s | %7s %7s | %7s\n", "",
+              "", "", "", "GFLOP/s", "GFLOP/s", "GOP/s", "GOP/s", "", "",
+              "ns/wt");
 
   double naive_total_s = 0.0, blocked_total_s = 0.0, flops_total = 0.0;
   double i8_total_s = 0.0, i8_path_total_s = 0.0;
   double quant_total_s = 0.0, gemm_total_s = 0.0, req_total_s = 0.0;
+  double lookup_total_s = 0.0;
   Rng rng(7);
   for (const auto& s : shapes) {
     std::vector<float> a(static_cast<std::size_t>(s.m * s.k));
@@ -202,12 +210,20 @@ int main() {
         target_ms);
     const double t_i8_path = t_quant + t_gemm + t_req;
 
+    // The per-forward pack-cache check: the warm-up call packs, every timed
+    // call is a hit.
+    kernels::WeightPackCache cache;
+    const double t_lookup = time_per_call(
+        [&] { cache.packed_a(s.m, s.k, a.data(), s.k, false); }, target_ms);
+
     std::printf(
-        "%-34s %6lld %6lld %6lld | %9.2f %9.2f %9.2f %9.2f | %6.2fx %6.2fx\n",
+        "%-34s %6lld %6lld %6lld | %9.2f %9.2f %9.2f %9.2f | %6.2fx %6.2fx "
+        "| %7.3f\n",
         s.layer.c_str(), static_cast<long long>(s.m),
         static_cast<long long>(s.n), static_cast<long long>(s.k),
         flops / t_naive * 1e-9, flops / t_blocked * 1e-9, flops / t_i8 * 1e-9,
-        flops / t_i8_path * 1e-9, t_naive / t_blocked, t_blocked / t_i8);
+        flops / t_i8_path * 1e-9, t_naive / t_blocked, t_blocked / t_i8,
+        t_lookup / static_cast<double>(a.size()) * 1e9);
 
     const double w = static_cast<double>(s.weight);
     naive_total_s += t_naive * w;
@@ -217,6 +233,7 @@ int main() {
     quant_total_s += t_quant * w;
     gemm_total_s += t_gemm * w;
     req_total_s += t_req * w;
+    lookup_total_s += t_lookup * w;
     flops_total += flops * w;
   }
 
@@ -238,5 +255,7 @@ int main() {
               100.0 * quant_total_s / i8_path_total_s,
               100.0 * gemm_total_s / i8_path_total_s,
               100.0 * req_total_s / i8_path_total_s);
+  std::printf("  pack-cache hit vs blocked GEMM (weighted): %.2f%%\n",
+              100.0 * lookup_total_s / blocked_total_s);
   return 0;
 }

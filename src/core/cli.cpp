@@ -116,19 +116,27 @@ std::optional<ErrorModel> parse_error_model_spec(const std::string& spec,
     }
     values.push_back(v);
   }
+  // random and noise draw lo + (hi - lo) * u, which is NaN or +-inf on
+  // every draw unless the width hi - lo is finite (so are lo and hi then).
   if (head == "random") {
     if (values.empty()) return random_value();
     if (values.size() != 2) {
       return fail("random takes 0 or 2 arguments (random:LO:HI)");
     }
-    if (!(values[0] < values[1])) return fail("random needs LO < HI");
-    return random_value(values[0], values[1]);
+    const float lo = values[0], hi = values[1];
+    if (!(lo < hi) || !std::isfinite(hi - lo)) {
+      return fail("random needs finite LO < HI with a finite HI - LO");
+    }
+    return random_value(lo, hi);
   }
   if (head == "zero" && values.empty()) return zero_value();
   if (head == "const" && values.size() == 1) return constant_value(values[0]);
   if (head == "noise" && values.size() == 1) {
-    if (!(values[0] > 0.0f)) return fail("noise needs MAG > 0");
-    return additive_noise(values[0]);
+    const float mag = values[0];  // draws from [-mag, mag)
+    if (!(mag > 0.0f) || !std::isfinite(mag + mag)) {
+      return fail("noise needs MAG > 0 with a finite 2 * MAG");
+    }
+    return additive_noise(mag);
   }
   if (error != nullptr) *error = "unknown error model '" + spec + "'";
   return std::nullopt;
@@ -331,13 +339,12 @@ CliParse parse_cli_args(int argc, const char* const* argv) {
     } else if (a == "--sampler") {
       opt.sampler = v;
     } else if (a == "--ci-target") {
-      const std::string text = v;
-      char* end = nullptr;
-      opt.ci_target = std::strtod(text.c_str(), &end);
-      if (text.empty() || end != text.c_str() + text.size() ||
-          opt.ci_target < 0.0 || opt.ci_target >= 1.0) {
-        error = "--ci-target expects a half-width in [0, 1), got '" + text +
-                "'";
+      const auto r = util::parse_double(v, 0.0, 1.0);
+      if (!r.has_value() || *r >= 1.0) {
+        error = "--ci-target expects a half-width in [0, 1), got '" +
+                std::string(v) + "'";
+      } else {
+        opt.ci_target = *r;
       }
     } else if (a == "--shards") {
       const auto n = int_flag(a, v, 1, 4096, &error);

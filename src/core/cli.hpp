@@ -91,9 +91,14 @@ std::string cli_usage();
 
 /// Parse an error-model spec (bitflip | bitflip:BIT | random |
 /// random:LO:HI | zero | const:V | noise:MAG). BIT is an integer in
-/// [-1, 31] (-1: a random bit per injection). On failure, including an
-/// argument the model's constructor would refuse, returns nullopt and, when
-/// `error` is non-null, stores an explanation that names the spec.
+/// [-1, 31] (-1: a random bit per injection). LO and HI must be finite with
+/// LO < HI and a finite HI - LO; MAG must be positive with a finite 2 * MAG,
+/// the width of the range it draws from. V may be any float, an explicit
+/// inf or nan included, because a non-finite constant is a meaningful fault
+/// value; only a literal that overflows float (const:1e39) is refused. On
+/// failure, including an argument the model's constructor would refuse,
+/// returns nullopt and, when `error` is non-null, stores an explanation that
+/// names the spec.
 std::optional<ErrorModel> parse_error_model_spec(const std::string& spec,
                                                  std::string* error = nullptr);
 

@@ -195,8 +195,11 @@ void max_pool2d(const PoolShape& shape, const float* in, float* out,
                 std::uint8_t* offset);
 
 /// Position-mixed FNV-1a over the exact bit patterns of n floats. A single
-/// flipped bit anywhere always changes the digest — the property weight
-/// injection needs.
+/// flipped bit anywhere always changes the digest. This is the persisted
+/// weight identity: core::model_weight_fingerprint folds it into
+/// calibration files (`weight_fp`) and campaign and checkpoint
+/// fingerprints, so its values must never change. It is not a cache key —
+/// WeightPackCache keys its packs with the faster pack_digest (lowp.hpp).
 std::uint64_t fingerprint(const float* p, std::int64_t n);
 
 }  // namespace pfi::kernels

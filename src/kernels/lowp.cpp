@@ -898,15 +898,40 @@ void round16(const float* src, std::int64_t n, Storage16 fmt, float* dst) {
 
 namespace {
 
-/// Fold the scale vector into the weight fingerprint: a pack quantized
-/// under different (e.g. frozen-golden vs freshly computed) scales must not
-/// be served for the other.
-std::uint64_t fp_with_scales(const float* w, std::int64_t wn,
-                             const float* scales, std::int64_t sn) {
-  return fingerprint(w, wn) * 1099511628211ull ^ fingerprint(scales, sn);
+constexpr std::uint64_t kFnvBasis = 14695981039346656037ull;  // FNV-1a-64
+constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+
+/// Fold the scale vector into the weight digest: a pack quantized under
+/// different (e.g. frozen-golden vs freshly computed) scales must not be
+/// served for the other.
+std::uint64_t digest_with_scales(const float* w, std::int64_t wn,
+                                 const float* scales, std::int64_t sn) {
+  return pack_digest(w, wn) * kFnvPrime ^ pack_digest(scales, sn);
 }
 
 }  // namespace
+
+std::uint64_t pack_digest(const float* p, std::int64_t n) {
+  // The lanes are independent chains: the compiler vectorizes the step
+  // across them, so the xor-multiplies of 32 elements overlap instead of
+  // each waiting on the one before, as in kernels::fingerprint.
+  constexpr int kLanes = 32;
+  std::uint64_t lane[kLanes];
+  for (auto& h : lane) h = kFnvBasis;
+  const auto step = [&](int l, std::int64_t i) {
+    std::uint32_t bits;
+    std::memcpy(&bits, p + i, sizeof(bits));
+    lane[l] = (lane[l] ^ bits) * kFnvPrime;
+  };
+  const std::int64_t body = n - n % kLanes;
+  for (std::int64_t i = 0; i < body; i += kLanes) {
+    for (int l = 0; l < kLanes; ++l) step(l, i + l);
+  }
+  for (std::int64_t i = body; i < n; ++i) step(static_cast<int>(i - body), i);
+  std::uint64_t h = kFnvBasis;
+  for (const std::uint64_t v : lane) h = (h ^ v) * kFnvPrime;
+  return (h ^ static_cast<std::uint64_t>(n)) * kFnvPrime;
+}
 
 const PackedPanels& WeightPackCache::packed_a(std::int64_t m, std::int64_t k,
                                               const float* w,
@@ -914,7 +939,7 @@ const PackedPanels& WeightPackCache::packed_a(std::int64_t m, std::int64_t k,
                                               std::optional<Storage16> round) {
   PFI_CHECK((trans_a ? lda == m : lda == k))
       << "WeightPackCache::packed_a needs a contiguous weight matrix";
-  const Key key{fingerprint(w, m * k), m, k, kMR, round};
+  const Key key{pack_digest(w, m * k), m, k, kMR, round};
   if (f32_key_ != key) {
     pack_a(m, k, w, lda, trans_a, key.panel, f32_);
     if (round) {
@@ -932,7 +957,7 @@ const PackedPanels& WeightPackCache::packed_b(std::int64_t k, std::int64_t n,
                                               std::optional<Storage16> round) {
   PFI_CHECK((trans_b ? ldb == k : ldb == n))
       << "WeightPackCache::packed_b needs a contiguous weight matrix";
-  const Key key{fingerprint(w, n * k), n, k, kNR, round};
+  const Key key{pack_digest(w, n * k), n, k, kNR, round};
   if (f32_key_ != key) {
     pack_b(k, n, w, ldb, trans_b, f32_);
     if (round) {
@@ -949,7 +974,7 @@ const PackedPanelsI8& WeightPackCache::packed_a_i8(
     bool trans_a, const float* row_scales) {
   PFI_CHECK((trans_a ? lda == m : lda == k))
       << "WeightPackCache::packed_a_i8 needs a contiguous weight matrix";
-  const Key key{fp_with_scales(w, m * k, row_scales, m), m, k, kMR,
+  const Key key{digest_with_scales(w, m * k, row_scales, m), m, k, kMR,
                 std::nullopt};
   if (i8_key_ != key) {
     quantize_pack_a_i8(m, k, w, lda, trans_a, key.panel, row_scales, i8_);
@@ -963,7 +988,7 @@ const PackedPanelsI8& WeightPackCache::packed_b_i8(
     bool trans_b, const float* col_scales) {
   PFI_CHECK((trans_b ? ldb == k : ldb == n))
       << "WeightPackCache::packed_b_i8 needs a contiguous weight matrix";
-  const Key key{fp_with_scales(w, n * k, col_scales, n), n, k, kNR,
+  const Key key{digest_with_scales(w, n * k, col_scales, n), n, k, kNR,
                 std::nullopt};
   if (i8_key_ != key) {
     quantize_pack_b_i8(k, n, w, ldb, trans_b, col_scales, i8_);

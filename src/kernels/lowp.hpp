@@ -242,15 +242,26 @@ inline float widen16(std::uint16_t h, Storage16 fmt) {
 /// — the exact fp32 image of each stored code. `dst` may equal `src`.
 void round16(const float* src, std::int64_t n, Storage16 fmt, float* dst);
 
+/// WeightPackCache's key digest of the exact bit patterns of n floats: 32
+/// independent FNV-1a-64 lanes over interleaved elements (element i feeds
+/// lane i mod 32; a tail shorter than 32 continues in lanes 0, 1, ...),
+/// folded with FNV-1a-64 and mixed with n. Every lane step is a bijection
+/// of the lane state and injective in the element, so a change confined to
+/// one element always changes the digest. Plain integer arithmetic: every
+/// compile gives the same value, with no ISA dispatch. It never leaves the
+/// process — the persisted weight identity is kernels::fingerprint.
+std::uint64_t pack_digest(const float* p, std::int64_t n);
+
 /// Cached packs of one weight matrix: an fp32 slot (the blocked GEMM's
 /// panels, optionally rounded once through a 16-bit storage format) and an
 /// INT8 slot (per-row or per-column quantized panels). Each slot is reused
-/// while its key — the weight fingerprint (plus the scales for INT8), the
-/// panel side and shape, and the rounding format — is unchanged. The
-/// fingerprint is re-checked on every lookup, so mutation through tensor
-/// aliases (the library's injection mechanism) can never serve a stale
-/// pack; invalidate() (called on every FaultInjector weight-mutation path)
-/// drops both slots at once.
+/// while its key — the pack_digest of the weights (folded with the
+/// pack_digest of the scales for INT8), the panel side and shape, and the
+/// rounding format — is unchanged. The key lives in memory only and its
+/// digest is recomputed from every weight and scale on every lookup, so
+/// mutation through tensor aliases (the library's injection mechanism) can
+/// never serve a stale pack; invalidate() (called on every FaultInjector
+/// weight-mutation path) drops both slots at once.
 class WeightPackCache {
  public:
   /// fp32 A-side panels of w (logical MxK, contiguous). With `round` set,
@@ -286,7 +297,7 @@ class WeightPackCache {
   /// What a cached pack was built from. `panel` is mr for A-side packs and
   /// kNR for B-side packs (mr is 6, kNR 16), so it also names the side.
   struct Key {
-    std::uint64_t fp = 0;
+    std::uint64_t digest = 0;
     std::int64_t span = 0;
     std::int64_t k = 0;
     int panel = 0;

@@ -166,8 +166,8 @@ Tensor Conv2d::forward(const Tensor& input) {
   std::vector<float> bias_r(static_cast<std::size_t>(round ? cout_g : 0));
 
   // Group-outer so the packed weight panels are looked up once per group
-  // (cache hit: a fingerprint check; miss: one repack) and reused across the
-  // batch.
+  // (cache hit: one pack_digest over the group's weights; miss: one repack)
+  // and reused across the batch.
   for (std::int64_t grp = 0; grp < g; ++grp) {
     const auto* wp = w_mat.data().data() + grp * cout_g * col_rows;
     const float* bp =

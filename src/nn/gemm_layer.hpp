@@ -28,7 +28,8 @@ class GemmLayer : public Module {
 
   /// Drop the cached packed-weight panels. Call after mutating the weight
   /// tensor (weight injection, restore) so repeated forwards never consume a
-  /// stale pack; forwards also verify a weight fingerprint, so this is an
+  /// stale pack; every forward also recomputes the cache's key digest
+  /// (kernels::pack_digest) over the whole weight, so this is an
   /// eager-release hook, not the only line of defense.
   void invalidate_weight_packs() {
     for (auto& p : packs_) p.invalidate();

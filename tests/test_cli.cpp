@@ -110,6 +110,14 @@ TEST(Cli, OutOfRangeIntegersAreRejectedWithRange) {
   expect_error({"--ci-target", "1.5"},
                "--ci-target expects a half-width in [0, 1)");
   expect_error({"--ci-target", "abc"}, "got 'abc'");
+  // NaN passes both range comparisons, and 1e-400 underflows to 0, which
+  // would silently run a fixed budget: the parser refuses them, naming the
+  // flag.
+  for (const char* text : {"nan", "inf", "1e-400"}) {
+    expect_error({"--ci-target", text},
+                 "--ci-target expects a half-width in [0, 1), got '" +
+                     std::string(text) + "'");
+  }
 }
 
 TEST(Cli, BadErrorModelAndDtypeSpecs) {
@@ -132,6 +140,10 @@ TEST(Cli, ErrorModelSpecParser) {
   EXPECT_TRUE(parse_error_model_spec("bitflip:31").has_value());
   EXPECT_TRUE(parse_error_model_spec("random:0:1").has_value());
   EXPECT_TRUE(parse_error_model_spec("noise:0.5").has_value());
+  // A non-finite constant is a meaningful fault value.
+  EXPECT_TRUE(parse_error_model_spec("const:inf").has_value());
+  EXPECT_TRUE(parse_error_model_spec("const:-inf").has_value());
+  EXPECT_TRUE(parse_error_model_spec("const:nan").has_value());
   std::string why;
   EXPECT_FALSE(parse_error_model_spec("bitflip:1:2", &why).has_value());
   EXPECT_NE(why.find("at most one argument"), std::string::npos);
@@ -141,7 +153,9 @@ TEST(Cli, ErrorModelSpecParser) {
   for (const std::string spec :
        {"bitflip:3.7", "bitflip:1e1", "bitflip:nan", "bitflip:1e10",
         "bitflip:32", "bitflip:-2", "bitflip:99", "noise:nan", "noise:0",
-        "random:2:1", "random:1:1", "const:1e39"}) {
+        "random:2:1", "random:1:1", "const:1e39", "random:-inf:1",
+        "random:0:inf", "random:-inf:inf", "random:-3e38:3e38", "noise:inf",
+        "noise:3e38"}) {
     why.clear();
     EXPECT_FALSE(parse_error_model_spec(spec, &why).has_value()) << spec;
     EXPECT_NE(why.find("'" + spec + "'"), std::string::npos) << why;

@@ -21,10 +21,12 @@
 
 #include <cmath>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <vector>
 
 #include "kernels/kernels.hpp"
+#include "kernels/lowp.hpp"
 #include "models/zoo.hpp"
 #include "nn/nn.hpp"
 #include "util/bits.hpp"
@@ -406,32 +408,54 @@ TEST_F(KernelsLinear, ForwardAndBackwardMatchNaive) {
 
 // ------------------------------------------------------ packed-weight cache ----
 
+/// Writes 42 (representable in fp16, far from any initialized weight) to
+/// each weight position `at` through a tensor alias — with no
+/// invalidate_weight_packs(), like the injector — and requires the next
+/// forward to change and restoring the bits to restore the output bits.
+void expect_aliased_writes_seen(nn::GemmLayer& layer, const Tensor& x,
+                                std::initializer_list<std::int64_t> at) {
+  const Tensor y0 = layer(x).clone();
+  EXPECT_TRUE(bit_equal(y0, layer(x).clone()));  // served from the cached pack
+  Tensor alias = layer.weight().value;  // shared storage, like the injector
+  for (const std::int64_t i : at) {
+    const float golden = alias[i];
+    alias[i] = 42.0f;
+    EXPECT_FALSE(bit_equal(y0, layer(x).clone()))
+        << "stale pack served after an aliased write to weight " << i;
+    alias[i] = golden;
+    EXPECT_TRUE(bit_equal(y0, layer(x).clone()))
+        << "restoring weight " << i << " must restore the output bits";
+  }
+}
+
 TEST_F(KernelsCache, AliasedWeightMutationIsNeverServedStale)
 {
   // The fault injector mutates weights through tensor aliases; the pack
-  // cache must catch that via the fingerprint even without an explicit
-  // invalidate() call.
+  // cache must catch that via its key digest even without an explicit
+  // invalidate() call, in every fp32 slot and at every digest position.
   Rng rng(31);
+  // The A-side slot. 54 weights: one 32-element lane block plus a
+  // 22-element tail, so element 53 is the tail's last.
   nn::Conv2d conv(
       nn::Conv2dOptions{.in_channels = 2, .out_channels = 3, .kernel = 3,
                         .padding = 1},
       rng);
   const Tensor x = Tensor::rand({1, 2, 5, 5}, rng, -1.0f, 1.0f);
-  const Tensor y0 = conv(x).clone();
-  const Tensor y0_again = conv(x).clone();  // served from the cached pack
-  EXPECT_TRUE(bit_equal(y0, y0_again));
+  expect_aliased_writes_seen(conv, x, {0, 53});
 
-  Tensor alias = conv.weight().value;  // shared storage, like the injector
-  const float golden = alias[0];
-  alias[0] = 42.0f;  // no invalidate() on purpose
-  const Tensor y_mut = conv(x).clone();
-  EXPECT_FALSE(bit_equal(y0, y_mut))
-      << "stale pack served after aliased weight mutation";
+  // The B-side slot (Linear packs W^T). 120 weights: three lane blocks and
+  // a 24-element tail.
+  nn::Linear fc(40, 3, rng);
+  const Tensor xl = Tensor::rand({2, 40}, rng, -1.0f, 1.0f);
+  expect_aliased_writes_seen(fc, xl, {0, 37, 64, 95, 96, 119});
 
-  alias[0] = golden;
-  const Tensor y_back = conv(x).clone();
-  EXPECT_TRUE(bit_equal(y0, y_back))
-      << "restoring the weight bits must restore the output bits";
+  // The rounded slot of a native fp16 conv: 42 moves the 16-bit code.
+  nn::Conv2d conv16(
+      nn::Conv2dOptions{.in_channels = 2, .out_channels = 3, .kernel = 3,
+                        .padding = 1},
+      rng);
+  conv16.set_native_dtype(LowPrec::kFp16);
+  expect_aliased_writes_seen(conv16, x, {0, 53});
 }
 
 TEST_F(KernelsCache, InvalidateDropsThePack) {
@@ -459,6 +483,31 @@ TEST_F(KernelsCache, FingerprintDetectsSingleBitFlips) {
     }
   }
   EXPECT_EQ(fingerprint(w.data(), 64), fp0);
+}
+
+TEST_F(KernelsCache, PackDigestDetectsEverySingleBitFlip) {
+  // Lengths on both sides of the 32-lane block edges, every element, every
+  // bit: a change confined to one element must change the digest, and
+  // restoring the bits must restore it.
+  Rng rng(33);
+  for (const std::int64_t n : {1, 2, 31, 32, 33, 63, 64, 65, 257, 1000}) {
+    std::vector<float> w = random_matrix(n, rng);
+    const std::uint64_t d0 = pack_digest(w.data(), n);
+    for (std::int64_t at = 0; at < n; ++at) {
+      float* p = w.data() + at;
+      std::uint32_t golden;
+      std::memcpy(&golden, p, sizeof(golden));
+      for (int bit = 0; bit < 32; ++bit) {
+        const std::uint32_t flipped = golden ^ (1u << bit);
+        std::memcpy(p, &flipped, sizeof(flipped));
+        ASSERT_NE(pack_digest(w.data(), n), d0)
+            << "n " << n << ": bit " << bit << " of element " << at
+            << " not detected";
+      }
+      std::memcpy(p, &golden, sizeof(golden));
+    }
+    EXPECT_EQ(pack_digest(w.data(), n), d0) << "n " << n;
+  }
 }
 
 // ------------------------------------------------------------ max pooling ----

@@ -21,6 +21,7 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <vector>
 
@@ -507,31 +508,52 @@ TEST_F(NativeStorage16, ConvForwardBitEqualsPreNarrowedFp32) {
 
 // ----------------------------------------------- quantized pack coherence ----
 
+/// Moves the deployed INT8 code of each weight position `at` by 64 toward
+/// zero (never into saturation) under the frozen per-output scale, through
+/// a tensor alias and with no invalidate_weight_packs(), and requires the
+/// next native forward to change and restoring the bits to restore the
+/// output bits. `row` is the number of weights per output.
+void expect_aliased_code_moves_seen(nn::GemmLayer& layer, const Tensor& x,
+                                    std::int64_t row,
+                                    std::initializer_list<std::int64_t> at) {
+  const Tensor y0 = layer(x).clone();
+  EXPECT_TRUE(bit_equal(y0, layer(x).clone()));  // cached pack reused
+  Tensor alias = layer.weight().value;
+  for (const std::int64_t i : at) {
+    const float golden = alias[i];
+    const float scale =
+        layer.native_scales()[static_cast<std::size_t>(i / row)];
+    alias[i] = golden - std::copysign(64.0f * scale, golden);
+    EXPECT_FALSE(bit_equal(y0, layer(x).clone()))
+        << "stale quantized pack served after an aliased write to weight "
+        << i;
+    alias[i] = golden;
+    EXPECT_TRUE(bit_equal(y0, layer(x).clone()))
+        << "restoring weight " << i << " must restore the native output bits";
+  }
+}
+
 TEST_F(NativeCache, AliasedWeightMutationIsNeverServedStaleQuantizedPack) {
-  // The injector mutates weights through tensor aliases; the quantized
-  // pack's own fingerprint must catch it even without invalidate().
+  // The injector mutates weights through tensor aliases; the INT8 slot's
+  // key digest (weights and scales) must catch it even without
+  // invalidate(), on both sides and at every digest position.
   Rng rng(97);
+  // The A-side slot (packed_a_i8). 54 weights: one 32-element lane block
+  // plus a 22-element tail, so element 53 is the tail's last.
   nn::Conv2d conv(
       nn::Conv2dOptions{.in_channels = 2, .out_channels = 3, .kernel = 3,
                         .padding = 1},
       rng);
   conv.set_native_dtype(LowPrec::kInt8);
   const Tensor x = Tensor::rand({1, 2, 5, 5}, rng, -1.0f, 1.0f);
-  const Tensor y0 = conv(x).clone();
-  EXPECT_TRUE(bit_equal(y0, conv(x).clone()));  // cached pack reused
+  expect_aliased_code_moves_seen(conv, x, 18, {0, 53});
 
-  Tensor alias = conv.weight().value;
-  const float golden = alias[0];
-  // A mutation large enough to change the deployed code under the frozen
-  // channel scale.
-  alias[0] = golden + 64.0f * conv.native_scales()[0];
-  const Tensor y_mut = conv(x).clone();
-  EXPECT_FALSE(bit_equal(y0, y_mut))
-      << "stale quantized pack served after aliased weight mutation";
-
-  alias[0] = golden;
-  EXPECT_TRUE(bit_equal(y0, conv(x).clone()))
-      << "restoring the weight bits must restore the native output bits";
+  // The B-side slot (packed_b_i8, Linear's W^T). 120 weights: three lane
+  // blocks and a 24-element tail.
+  nn::Linear fc(40, 3, rng);
+  fc.set_native_dtype(LowPrec::kInt8);
+  const Tensor xl = Tensor::rand({2, 40}, rng, -1.0f, 1.0f);
+  expect_aliased_code_moves_seen(fc, xl, 40, {0, 37, 64, 95, 96, 119});
 }
 
 TEST_F(NativeCache, InvalidateDropsQuantizedAndStoragePacks) {
