@@ -1,12 +1,16 @@
 #include "core/campaign.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <optional>
 #include <span>
 
 #include "core/campaign_internal.hpp"
 #include "core/checkpoint.hpp"
+#include "core/sampling.hpp"
 #include "nn/loss.hpp"
 
 namespace pfi::core {
@@ -33,26 +37,69 @@ void check_campaign_config(const FaultInjector& fi,
          "one_fault_per_layer is the uniform runner's mode";
 }
 
-UnitOutcome run_campaign_attempt(FaultInjector& fi,
-                                 const data::SyntheticDataset& ds,
-                                 const CampaignConfig& config,
-                                 std::int64_t attempt) {
-  const auto a = static_cast<std::uint64_t>(attempt);
-  Rng rng(derive_seed(config.seed, a, kDrawStream));
-  fi.reseed(derive_seed(config.seed, a, kInjectorStream));
+namespace {
 
-  // Worker-local trace buffer: single-threaded, lock-free; the merge step
-  // moves its contents into the caller's sink in attempt order.
-  const bool tracing = config.trace != nullptr;
-  trace::TraceSink local(tracing && config.trace->capture_logits());
-  ScopedSink sink_guard(fi, tracing ? &local : fi.trace_sink());
+/// The post-ReLU bit pattern of an activation — EXACTLY nn::ReLU's forward
+/// expression (v > 0 ? v : 0), so bit-equality here is bit-equality of the
+/// downstream ReLU layer's output. Maps NaN and every non-positive value
+/// (including -0.0f) to +0.0f, exactly as the layer does.
+std::uint32_t relu_bits(float v) {
+  const float r = v > 0.0f ? v : 0.0f;
+  return std::bit_cast<std::uint32_t>(r);
+}
+
+/// Captures one instrumented layer's golden output during a kRecordGolden
+/// pass. Registered AFTER the injector's own hook (construction order), so
+/// it observes the post-dtype-emulation activation — the exact domain the
+/// injector applies faults in.
+class GoldenCapture {
+ public:
+  GoldenCapture(FaultInjector& fi, std::int64_t layer)
+      : module_(fi.layer(layer)) {
+    handle_ = module_.register_forward_hook(
+        [this](nn::Module&, const Tensor&, Tensor& output) {
+          captured_ = output.clone();
+        });
+  }
+  ~GoldenCapture() { module_.remove_hook(handle_); }
+  GoldenCapture(const GoldenCapture&) = delete;
+  GoldenCapture& operator=(const GoldenCapture&) = delete;
+
+  const Tensor& captured() const {
+    PFI_CHECK(captured_.defined())
+        << "golden capture hook never fired (layer not executed?)";
+    return captured_;
+  }
+
+ private:
+  nn::Module& module_;
+  nn::HookHandle handle_ = 0;
+  Tensor captured_;
+};
+
+}  // namespace
+
+UnitOutcome run_attempt(FaultInjector& fi, const data::SyntheticDataset& ds,
+                        const CampaignConfig& config, const AttemptDraw& draw,
+                        AttemptTrace trace) {
+  Rng rng(derive_seed(draw.root, draw.index, kDrawStream));
+  fi.reseed(derive_seed(draw.root, draw.index, kInjectorStream));
+
+  // Worker-local trace buffer: single-threaded, lock-free; the ordered fold
+  // ships its contents into the caller's sink.
+  trace::TraceSink local(trace.logits);
+  ScopedSink sink_guard(fi, trace.events ? &local : fi.trace_sink());
 
   UnitOutcome out;
   const auto batch = ds.sample_batch(config.batch_size, rng);
 
   // Golden run (dtype emulation still active; faults are not), recorded as
   // the attempt's reusable prefix. Argmaxed once; every rep scores against
-  // these indices.
+  // these indices. When pruning applies, the capture hook clones the
+  // stratum's layer output in the injector's emulation domain.
+  const Stratum* st = draw.stratum;
+  std::optional<GoldenCapture> capture;
+  if (draw.prunable) capture.emplace(fi, st->layer);
   fi.clear();
   const Tensor golden =
       fi.forward(batch.images, ForwardMode::kRecordGolden);
@@ -69,9 +116,22 @@ UnitOutcome run_campaign_attempt(FaultInjector& fi,
   }
   if (eligible.empty()) return out;
 
+  const std::int64_t layer = st != nullptr ? st->layer : config.layer;
+  // The pruner's analytic injection site: the layer's dtype and the golden
+  // pass's emulation params, i.e. exactly what the hook would apply.
+  Rng analytic_rng(0);  // never drawn from: a fixed-bit flip is deterministic
+  InjectionContext site;
+  if (draw.prunable) {
+    site.layer = layer;
+    site.dtype = fi.layer_dtype(layer);
+    site.qparams = fi.golden_qparams(layer);
+    site.rng = &analytic_rng;
+  }
+  ErrorModel bit_flip;  // stratified: this rep's fixed-bit model
+
   out.reps.reserve(static_cast<std::size_t>(config.injections_per_image));
   for (std::int64_t rep = 0; rep < config.injections_per_image; ++rep) {
-    if (tracing) local.set_context(a, static_cast<std::int32_t>(rep));
+    local.set_context(draw.attempt, static_cast<std::int32_t>(rep));
     NeuronLocation loc;
     loc.batch = config.same_fault_across_batch
                     ? kAllBatchElements
@@ -83,21 +143,72 @@ UnitOutcome run_campaign_attempt(FaultInjector& fi,
         fi.declare_neuron_fault(per, config.error_model);
       }
     } else {
-      const NeuronLocation drawn = fi.random_neuron_location(rng, config.layer);
+      const NeuronLocation drawn = fi.random_neuron_location(rng, layer);
       loc.layer = drawn.layer;
       loc.c = drawn.c;
       loc.h = drawn.h;
       loc.w = drawn.w;
-      fi.declare_neuron_fault(loc, config.error_model);
     }
-    const Tensor faulty = fi.forward(batch.images, ForwardMode::kReusePrefix);
-    fi.clear();
+    if (st != nullptr) {
+      const auto width =
+          static_cast<std::uint64_t>(st->bit_hi - st->bit_lo + 1);
+      bit_flip = single_bit_flip(st->bit_lo +
+                                 static_cast<int>(rng.next_below(width)));
+    }
+    const ErrorModel& em = st != nullptr ? bit_flip : config.error_model;
+
+    // Pruning: the fault is provably masked only if the post-ReLU bits are
+    // unchanged on EVERY row it touches — scoring reads per-row argmaxes,
+    // but the non-finite scan covers the whole tensor, so an untouched-row
+    // change would be observable. A masked fault records the events the
+    // real injection would have, from the same analytic values, so the
+    // trace is byte-identical with pruning on or off.
+    bool masked = draw.prunable;
+    if (masked) {
+      const Tensor& act = capture->captured();
+      const bool all = loc.batch == kAllBatchElements;
+      const std::int64_t b1 = all ? config.batch_size : loc.batch + 1;
+      for (std::int64_t b = all ? 0 : loc.batch; b < b1 && masked; ++b) {
+        const std::int64_t flat = act.offset_of(b, loc.c, loc.h, loc.w);
+        site.flat_index = flat;
+        const float pre = act[flat];
+        const float post = em.apply(pre, site);
+        masked = relu_bits(post) == relu_bits(pre);
+        if (masked && trace.events) {
+          fi.record_neuron_event(layer, {b, loc.c, loc.h, loc.w}, flat, pre,
+                                 post, em.name, site.qparams);
+        }
+      }
+      // An unmasked fault executes below and records its own events.
+      if (!masked && trace.events) local.take_events();
+    }
+
+    // A masked fault skips its faulty forward: its faulty logits ARE the
+    // golden logits. Verify mode runs it anyway — untraced, so the trace
+    // matches a non-verify run — and demands exactly that, the strongest
+    // form of "top-1 unchanged".
+    Tensor executed;
+    if (!masked || draw.prune_verify) {
+      ScopedSink untraced_if_masked(fi, masked ? nullptr : fi.trace_sink());
+      if (!config.one_fault_per_layer) fi.declare_neuron_fault(loc, em);
+      executed = fi.forward(batch.images, ForwardMode::kReusePrefix);
+      fi.clear();
+      PFI_CHECK(!masked ||
+                (executed.data().size() == golden.data().size() &&
+                 std::memcmp(executed.data().data(), golden.data().data(),
+                             golden.data().size() * sizeof(float)) == 0))
+          << "PRUNE VERIFY FAILED: injection at layer " << layer << " fmap "
+          << loc.c << " (" << loc.h << ", " << loc.w << ") by " << em.name
+          << " was pruned as masked but changed the logits";
+    }
+    const Tensor& faulty = masked ? golden : executed;
 
     const RepScorer scorer(golden_top1, faulty, config.criterion);
     UnitOutcome::Rep r;
     r.non_finite = scorer.faulty_non_finite;
-    if (tracing) {
-      r.attempt = a;
+    r.pruned = masked;
+    if (trace.events) {
+      r.attempt = draw.attempt;
       r.rep_index = static_cast<std::int32_t>(rep);
       r.events = local.take_events();
       if (local.capture_logits()) r.logits = faulty.clone();
@@ -112,22 +223,30 @@ UnitOutcome run_campaign_attempt(FaultInjector& fi,
   return out;
 }
 
+void ship_trace(trace::TraceSink* sink, std::uint64_t trial,
+                std::uint64_t attempt, std::int32_t rep,
+                std::vector<trace::InjectionEvent>& events, Tensor& logits) {
+  if (sink == nullptr) return;
+  for (trace::InjectionEvent& ev : events) {
+    ev.trial = trial;
+    ev.attempt = attempt;
+  }
+  sink->append(std::move(events));
+  if (sink->capture_logits() && logits.defined()) {
+    sink->append_logits({attempt, rep, std::move(logits)});
+  }
+}
+
 bool merge_campaign_attempt(CampaignResult& acc, UnitOutcome& outcome,
                             std::uint64_t target, trace::TraceSink* sink) {
   acc.skipped += outcome.skipped;
   for (auto& rep : outcome.reps) {
     if (acc.trials >= target) break;
     if (rep.non_finite) ++acc.non_finite;
-    if (sink != nullptr) {
-      // The rep made the cut, so its trace ships: its events are stamped
-      // with the first trial index it feeds and appended in merge order.
-      for (trace::InjectionEvent& ev : rep.events) ev.trial = acc.trials;
-      sink->append(std::move(rep.events));
-      if (sink->capture_logits() && rep.logits.defined()) {
-        sink->append_logits(
-            {rep.attempt, rep.rep_index, std::move(rep.logits)});
-      }
-    }
+    // The rep made the cut, so its trace ships, stamped with the first
+    // trial index it feeds.
+    ship_trace(sink, acc.trials, rep.attempt, rep.rep_index, rep.events,
+               rep.logits);
     for (const std::uint8_t corrupted : rep.corrupted) {
       ++acc.trials;
       acc.corruptions += corrupted;
@@ -146,6 +265,7 @@ std::int64_t campaign_attempt_cap(const CampaignConfig& config) {
 
 namespace {
 
+using detail::AttemptTrace;
 using detail::campaign_attempt_cap;
 using detail::index_wave;
 using detail::kDrawStream;
@@ -154,9 +274,9 @@ using detail::kSerialCommitEvery;
 using detail::merge_campaign_attempt;
 using detail::RepScorer;
 using detail::resolve_threads;
-using detail::run_campaign_attempt;
 using detail::run_ordered_units;
 using detail::ScopedSink;
+using detail::ship_trace;
 using detail::UnitOutcome;
 using detail::WaveCommitter;
 using detail::WorkerSet;
@@ -177,6 +297,7 @@ CampaignResult run_classification_campaign(FaultInjector& fi,
   const std::int64_t threads = resolve_threads(
       config.threads, std::max<std::int64_t>(1, config.trials / 4));
   const std::int64_t cap = campaign_attempt_cap(config);
+  const AttemptTrace trace = AttemptTrace::for_sink(config.trace);
 
   CampaignResult result;
   std::int64_t next_attempt = 0;
@@ -218,7 +339,10 @@ CampaignResult run_classification_campaign(FaultInjector& fi,
         return index_wave(next_attempt, std::min(wave, cap - next_attempt));
       },
       [&](std::size_t g, std::int64_t a) {
-        return run_campaign_attempt(set[g], ds, config, a);
+        const auto au = static_cast<std::uint64_t>(a);
+        return detail::run_attempt(
+            set[g], ds, config,
+            {.root = config.seed, .index = au, .attempt = au}, trace);
       },
       [&](std::int64_t a, UnitOutcome& out) {
         next_attempt = a + 1;
@@ -340,13 +464,7 @@ CampaignResult run_weight_campaign(FaultInjector& fi,
         result.skipped += out.counts.skipped;
         result.corruptions += out.counts.corruptions;
         result.non_finite += out.counts.non_finite;
-        if (tracing) {
-          for (trace::InjectionEvent& ev : out.events) ev.trial = fu;
-          config.trace->append(std::move(out.events));
-          if (config.trace->capture_logits() && out.logits.defined()) {
-            config.trace->append_logits({fu, 0, std::move(out.logits)});
-          }
-        }
+        ship_trace(config.trace, fu, fu, 0, out.events, out.logits);
         next_fault = f + 1;
         return false;
       },
@@ -528,14 +646,8 @@ FleetResult run_fleet_campaign(FaultInjector& fi,
         result.rows += out.ev.rows;
         result.mismatches += out.ev.rows - out.ev.correct;
         result.non_finite += out.ev.non_finite;
-        if (tracing) {
-          for (trace::InjectionEvent& ev : out.events) ev.trial = out.ev.event;
-          config.trace->append(std::move(out.events));
-          if (config.trace->capture_logits() && out.logits.defined()) {
-            config.trace->append_logits(
-                {out.ev.event, 0, std::move(out.logits)});
-          }
-        }
+        ship_trace(config.trace, out.ev.event, out.ev.event, 0, out.events,
+                   out.logits);
         result.timeline.push_back(out.ev);
         next_event = t + 1;
         return false;

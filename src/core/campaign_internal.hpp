@@ -22,6 +22,10 @@
 #include "nn/loss.hpp"
 #include "util/thread_pool.hpp"
 
+namespace pfi::core {
+struct Stratum;
+}  // namespace pfi::core
+
 namespace pfi::core::detail {
 
 /// Everything one attempt (batch draw + golden run + its injections)
@@ -37,9 +41,9 @@ struct UnitOutcome {
   std::uint64_t skipped = 0;
   struct Rep {
     bool non_finite = false;
-    bool pruned = false;  // stratified only: masked, never executed
+    bool pruned = false;  // stratified only: masked, faulty forward skipped
     std::vector<std::uint8_t> corrupted;  // per scored row, in score order
-    // Trace payload (only populated when a live run is tracing): the rep's
+    // Trace payload (only populated when a run records events): the rep's
     // attempt (a stratified unit's global sequence number) and index for
     // its logits record, its injection events and, optionally, its faulty
     // logits. Kept on the rep so the ordered merge can discard them with it.
@@ -58,14 +62,63 @@ void check_campaign_config(const FaultInjector& fi,
                            const CampaignConfig& config,
                            bool stratified = false);
 
-/// One self-contained attempt. All randomness comes from seeds derived from
-/// (config.seed, attempt) — no shared RNG state — so the outcome is a pure
-/// function of the attempt index regardless of which worker (or which
-/// process) runs it.
-UnitOutcome run_campaign_attempt(FaultInjector& fi,
-                                 const data::SyntheticDataset& ds,
-                                 const CampaignConfig& config,
-                                 std::int64_t attempt);
+/// Where one classification attempt draws its randomness and how its trace
+/// records are labelled. Uniform attempts draw from (campaign seed, attempt
+/// index); a stratified unit draws from its stratum's root,
+/// derive_seed(seed, stratum, kStratumStream), and its stratum-local
+/// attempt index, and stamps its campaign-global sequence number.
+struct AttemptDraw {
+  std::uint64_t root = 0;
+  std::uint64_t index = 0;
+  std::uint64_t attempt = 0;  ///< stamped on the attempt's trace records
+  /// Stratified units: the stratum whose layer and bit class every fault is
+  /// drawn from (null for uniform attempts, which use config.layer and
+  /// config.error_model).
+  const Stratum* stratum = nullptr;
+  /// The stratum's layer feeds a ReLU and pruning is on: a provably masked
+  /// fault skips its faulty forward.
+  bool prunable = false;
+  /// Run every pruned fault anyway and abort unless its logits are
+  /// bit-identical to the golden ones (the pruner's soundness oracle).
+  bool prune_verify = false;
+};
+
+/// What an attempt records for the caller's trace: its reps' injection
+/// events and, with `logits`, their faulty logits.
+struct AttemptTrace {
+  bool events = false;
+  bool logits = false;
+
+  /// The recording a live run streaming into `sink` (null: none) needs.
+  static AttemptTrace for_sink(const trace::TraceSink* sink) {
+    return {sink != nullptr, sink != nullptr && sink->capture_logits()};
+  }
+};
+
+/// One self-contained classification attempt — the paper's methodology
+/// (Sec. IV-A): one golden run, injections only into the correctly
+/// classified rows, Top-1 compared per rep. Every classification runner
+/// (uniform, stratified, and their shards) executes this one body. All
+/// randomness comes from seeds derived from (draw.root, draw.index), drawn
+/// in a fixed order per rep (batch row, then location, then the stratum's
+/// bit), so the outcome is a pure function of the draw regardless of which
+/// worker (or which process) runs it. A pruned (masked) fault skips only its
+/// faulty forward: it is scored by the same RepScorer over the golden
+/// logits, which are its faulty logits.
+UnitOutcome run_attempt(FaultInjector& fi, const data::SyntheticDataset& ds,
+                        const CampaignConfig& config, const AttemptDraw& draw,
+                        AttemptTrace trace);
+
+/// Ship one folded unit's trace into `sink` (no-op when null): stamp its
+/// events with the first trial index it feeds and its attempt, append them
+/// in fold order, and append its logits record when the sink captures
+/// logits. Moves out of `events` and `logits`.
+void ship_trace(trace::TraceSink* sink, std::uint64_t trial,
+                std::uint64_t attempt, std::int32_t rep,
+                std::vector<trace::InjectionEvent>& events, Tensor& logits);
+
+/// No trial target: fold every rep of the attempt.
+inline constexpr std::uint64_t kNoTrialTarget = ~std::uint64_t{0};
 
 /// Fold one attempt into the running result, honouring the trial target:
 /// reps after the target are dropped, and a rep's scored rows are consumed
@@ -74,7 +127,8 @@ UnitOutcome run_campaign_attempt(FaultInjector& fi,
 /// same whether the outcomes were computed serially, by a pool, or replayed
 /// from shard records.
 bool merge_campaign_attempt(CampaignResult& acc, UnitOutcome& outcome,
-                            std::uint64_t target, trace::TraceSink* sink);
+                            std::uint64_t target = kNoTrialTarget,
+                            trace::TraceSink* sink = nullptr);
 
 /// Attempts are capped so a model that never classifies correctly stops
 /// instead of looping forever. Hitting the cap is not an error: the

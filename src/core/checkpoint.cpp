@@ -120,11 +120,12 @@ std::uint64_t fleet_campaign_fingerprint(const FleetCampaignConfig& config,
                                          std::string_view context) {
   std::ostringstream os;
   os << "fleet|horizon=" << config.horizon << "|batch=" << config.batch_size
-     << "|seed=" << config.seed << "|ber=" << config.scenario.ber
+     << "|seed=" << config.seed
+     << "|ber=" << util::double_bits_hex(config.scenario.ber)
      << "|stuck=" << config.scenario.stuck_bits << ":"
      << config.scenario.stuck_value
-     << "|distance=" << config.scenario.distance_mean << ":"
-     << config.scenario.distance_stddev
+     << "|distance=" << util::double_bits_hex(config.scenario.distance_mean)
+     << ":" << util::double_bits_hex(config.scenario.distance_stddev)
      << "|layer=" << config.scenario.layer
      << "|pseed=" << config.scenario.seed << "|ctx=";
   return fnv1a(context, fnv1a(os.str()));

@@ -267,6 +267,20 @@ void FaultInjector::emit_event(trace::FaultKind kind, std::int64_t layer,
   sink_->record(std::move(ev));
 }
 
+void FaultInjector::record_neuron_event(std::int64_t layer,
+                                        const std::int64_t (&coords)[4],
+                                        std::int64_t flat, float pre,
+                                        float post,
+                                        const std::string& model_name,
+                                        const quant::QuantParams& qparams) {
+  if constexpr (trace::kEnabled) {
+    if (sink_ != nullptr) {
+      emit_event(trace::FaultKind::kNeuron, layer, coords, flat, pre, post,
+                 model_name, qparams);
+    }
+  }
+}
+
 void FaultInjector::declare_neuron_fault(const NeuronLocation& loc,
                                          ErrorModel model) {
   const Shape& s = layer_shape(loc.layer);  // validates loc.layer
@@ -846,13 +860,8 @@ void FaultInjector::apply_armed_faults(std::int64_t layer_index,
         const float pre = output[flat];
         output[flat] = fault.model.apply(pre, ctx);
         ++injections_;
-        if constexpr (trace::kEnabled) {
-          if (sink_ != nullptr) {
-            const std::int64_t coords[4] = {b, loc.c, loc.h, loc.w};
-            emit_event(trace::FaultKind::kNeuron, layer_index, coords, flat,
-                       pre, output[flat], fault.model.name, qp);
-          }
-        }
+        record_neuron_event(layer_index, {b, loc.c, loc.h, loc.w}, flat, pre,
+                            output[flat], fault.model.name, qp);
         continue;
       }
       // Fmap / layer scope: corrupt every spatial position of the selected
@@ -865,13 +874,8 @@ void FaultInjector::apply_armed_faults(std::int64_t layer_index,
             const float pre = output[flat];
             output[flat] = fault.model.apply(pre, ctx);
             ++injections_;
-            if constexpr (trace::kEnabled) {
-              if (sink_ != nullptr) {
-                const std::int64_t coords[4] = {b, c, h, w};
-                emit_event(trace::FaultKind::kNeuron, layer_index, coords,
-                           flat, pre, output[flat], fault.model.name, qp);
-              }
-            }
+            record_neuron_event(layer_index, {b, c, h, w}, flat, pre,
+                                output[flat], fault.model.name, qp);
           }
         }
       }

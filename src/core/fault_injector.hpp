@@ -275,6 +275,18 @@ class FaultInjector {
   /// stable identifier used in exported traces.
   const std::string& layer_path(std::int64_t i) const;
 
+  /// Emit the kNeuron event of one injection into the attached sink (no-op
+  /// without one, and compiled out in a -DPFI_TRACE=OFF build): the value
+  /// at (batch, c, h, w) = `coords`, flat index `flat`, went from `pre` to
+  /// `post` under error model `model_name`, with the flipped bit attributed
+  /// in the layer's own representation under `qparams`. The hook records
+  /// every injection it performs through this; the stratified sampler's
+  /// pruner records the injections it proves masked and never executes.
+  void record_neuron_event(std::int64_t layer, const std::int64_t (&coords)[4],
+                           std::int64_t flat, float pre, float post,
+                           const std::string& model_name,
+                           const quant::QuantParams& qparams);
+
   /// Dtype-emulation params the last golden (kRecordGolden) pass captured
   /// for layer i — the exact quantized domain any fault armed on that layer
   /// is applied in (see golden_qp_'s comment). The stratified sampler's

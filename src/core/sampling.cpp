@@ -1,76 +1,29 @@
 #include "core/sampling.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <numeric>
-#include <optional>
 #include <sstream>
 
 #include "core/campaign_internal.hpp"
 #include "core/checkpoint.hpp"
 #include "core/sampling_internal.hpp"
-#include "nn/loss.hpp"
+#include "util/strings.hpp"
 
 namespace pfi::core {
 
 namespace {
 
-using detail::has_non_finite;
-using detail::kDrawStream;
-using detail::kInjectorStream;
 using detail::kMaxStratumQuantum;
 using detail::kStratumGaveUpFlag;
 using detail::kStratumStoppedEarlyFlag;
-using detail::kStratumStream;
-using detail::RepScorer;
-using detail::ScopedSink;
 using detail::StratifiedFold;
 using detail::StratifiedSchedule;
 using detail::StratUnit;
 using detail::UnitOutcome;
 using detail::WaveCommitter;
 using detail::WorkerSet;
-
-/// The post-ReLU bit pattern of an activation — EXACTLY nn::ReLU's forward
-/// expression (v > 0 ? v : 0), so bit-equality here is bit-equality of the
-/// downstream ReLU layer's output. Maps NaN and every non-positive value
-/// (including -0.0f) to +0.0f, exactly as the layer does.
-std::uint32_t relu_bits(float v) {
-  const float r = v > 0.0f ? v : 0.0f;
-  return std::bit_cast<std::uint32_t>(r);
-}
-
-/// Captures one instrumented layer's golden output during a kRecordGolden
-/// pass. Registered AFTER the injector's own hook (construction order), so
-/// it observes the post-dtype-emulation activation — the exact domain the
-/// injector applies faults in.
-class GoldenCapture {
- public:
-  GoldenCapture(FaultInjector& fi, std::int64_t layer)
-      : module_(fi.layer(layer)) {
-    handle_ = module_.register_forward_hook(
-        [this](nn::Module&, const Tensor&, Tensor& output) {
-          captured_ = output.clone();
-        });
-  }
-  ~GoldenCapture() { module_.remove_hook(handle_); }
-  GoldenCapture(const GoldenCapture&) = delete;
-  GoldenCapture& operator=(const GoldenCapture&) = delete;
-
-  const Tensor& captured() const {
-    PFI_CHECK(captured_.defined())
-        << "golden capture hook never fired (layer not executed?)";
-    return captured_;
-  }
-
- private:
-  nn::Module& module_;
-  nn::HookHandle handle_ = 0;
-  Tensor captured_;
-};
 
 /// The larger half of a stratum's Wilson interval — the quantity the
 /// stopping rule budgets. Zero trials -> the vacuous [0, 1] interval's
@@ -189,188 +142,20 @@ StratifiedSchedule make_stratified_schedule(
   return sched;
 }
 
-UnitOutcome run_stratum_attempt(FaultInjector& fi,
-                                const data::SyntheticDataset& ds,
-                                const StratifiedCampaignConfig& config,
-                                const Stratum& st, bool prunable,
-                                const StratUnit& unit) {
-  const CampaignConfig& base = config.base;
-  const std::uint64_t stratum_seed = derive_seed(
-      base.seed, static_cast<std::uint64_t>(unit.stratum), kStratumStream);
-  Rng rng(derive_seed(stratum_seed, unit.attempt, kDrawStream));
-  fi.reseed(derive_seed(stratum_seed, unit.attempt, kInjectorStream));
-
-  const bool tracing = base.trace != nullptr;
-  trace::TraceSink local(tracing && base.trace->capture_logits());
-  ScopedSink sink_guard(fi, tracing ? &local : fi.trace_sink());
-
-  UnitOutcome out;
-  const auto batch = ds.sample_batch(base.batch_size, rng);
-
-  // Golden pass; the capture hook (when pruning applies) clones this
-  // stratum's layer output in the injector's emulation domain.
-  std::optional<GoldenCapture> capture;
-  if (prunable) capture.emplace(fi, st.layer);
-  fi.clear();
-  const Tensor golden = fi.forward(batch.images, ForwardMode::kRecordGolden);
-  const auto golden_top1 = nn::argmax_rows(golden);
-
-  std::vector<std::int64_t> eligible;
-  for (std::size_t i = 0; i < batch.labels.size(); ++i) {
-    if (golden_top1[i] == batch.labels[i]) {
-      eligible.push_back(static_cast<std::int64_t>(i));
-    } else {
-      ++out.skipped;
-    }
-  }
-  if (eligible.empty()) return out;
-
-  const bool golden_nf = has_non_finite(golden);
-  const quant::QuantParams qp =
-      prunable ? fi.golden_qparams(st.layer) : quant::QuantParams{};
-  const int width = st.bit_hi - st.bit_lo + 1;
-  Rng analytic_rng(0);  // never drawn from: a fixed-bit flip is deterministic
-
-  out.reps.reserve(static_cast<std::size_t>(base.injections_per_image));
-  for (std::int64_t rep = 0; rep < base.injections_per_image; ++rep) {
-    if (tracing) local.set_context(unit.seq, static_cast<std::int32_t>(rep));
-    NeuronLocation loc;
-    loc.batch = base.same_fault_across_batch
-                    ? kAllBatchElements
-                    : eligible[rng.next_below(eligible.size())];
-    const NeuronLocation drawn = fi.random_neuron_location(rng, st.layer);
-    loc.layer = drawn.layer;
-    loc.c = drawn.c;
-    loc.h = drawn.h;
-    loc.w = drawn.w;
-    const int bit =
-        st.bit_lo + static_cast<int>(rng.next_below(
-                        static_cast<std::uint64_t>(width)));
-    ErrorModel em = single_bit_flip(bit);
-
-    // Pruning: compute the faulty value analytically for every batch row
-    // the fault would touch. The injection is provably masked only if the
-    // post-ReLU bits are unchanged for ALL touched rows — scoring reads
-    // per-row argmaxes but the non-finite scan covers the whole tensor, so
-    // an untouched-row change would be observable.
-    bool masked = false;
-    if (prunable) {
-      const Tensor& act = capture->captured();
-      const std::int64_t b0 = loc.batch == kAllBatchElements ? 0 : loc.batch;
-      const std::int64_t b1 = loc.batch == kAllBatchElements
-                                  ? base.batch_size
-                                  : loc.batch + 1;
-      masked = true;
-      InjectionContext ctx;
-      ctx.layer = st.layer;
-      ctx.dtype = fi.layer_dtype(st.layer);
-      ctx.qparams = qp;
-      ctx.rng = &analytic_rng;
-      for (std::int64_t b = b0; b < b1; ++b) {
-        const std::int64_t flat = act.offset_of(b, loc.c, loc.h, loc.w);
-        ctx.flat_index = flat;
-        const float pre = act[flat];
-        const float post = em.apply(pre, ctx);
-        if (relu_bits(post) != relu_bits(pre)) {
-          masked = false;
-          break;
-        }
-      }
-    }
-
-    UnitOutcome::Rep r;
-    r.pruned = masked;
-    if (masked) {
-      if (config.prune_verify) {
-        // Soundness oracle: run the injection the pruner skipped, with the
-        // sink detached so the trace stays identical to a non-verify run,
-        // and demand the logits are bit-identical to the golden pass —
-        // the strongest form of "top-1 unchanged".
-        ScopedSink detached(fi, nullptr);
-        fi.declare_neuron_fault(loc, em);
-        const Tensor faulty =
-            fi.forward(batch.images, ForwardMode::kReusePrefix);
-        fi.clear();
-        PFI_CHECK(faulty.data().size() == golden.data().size() &&
-                  std::memcmp(faulty.data().data(), golden.data().data(),
-                              faulty.data().size() * sizeof(float)) == 0)
-            << "PRUNE VERIFY FAILED: injection at layer " << st.layer
-            << " fmap " << loc.c << " (" << loc.h << ", " << loc.w
-            << ") bit " << bit
-            << " was pruned as masked but changed the logits";
-      }
-      if (tracing) {
-        // Emit the events the real injection would have emitted — computed
-        // from the same analytic values — so the trace stream is
-        // byte-identical with pruning on or off.
-        const Tensor& act = capture->captured();
-        const std::int64_t b0 =
-            loc.batch == kAllBatchElements ? 0 : loc.batch;
-        const std::int64_t b1 = loc.batch == kAllBatchElements
-                                    ? base.batch_size
-                                    : loc.batch + 1;
-        InjectionContext ctx;
-        ctx.layer = st.layer;
-        ctx.dtype = fi.layer_dtype(st.layer);
-        ctx.qparams = qp;
-        ctx.rng = &analytic_rng;
-        for (std::int64_t b = b0; b < b1; ++b) {
-          const std::int64_t flat = act.offset_of(b, loc.c, loc.h, loc.w);
-          ctx.flat_index = flat;
-          const float pre = act[flat];
-          const float post = em.apply(pre, ctx);
-          trace::InjectionEvent ev;
-          ev.kind = trace::FaultKind::kNeuron;
-          ev.layer = st.layer;
-          ev.layer_name = fi.layer_path(st.layer);
-          ev.layer_kind = fi.layer(st.layer).kind();
-          ev.dtype = fi.layer_dtype(st.layer);
-          ev.coords[0] = b;
-          ev.coords[1] = loc.c;
-          ev.coords[2] = loc.h;
-          ev.coords[3] = loc.w;
-          ev.flat = flat;
-          ev.pre = pre;
-          ev.post = post;
-          ev.bit = trace::diff_bit(pre, post, fi.layer_dtype(st.layer), qp);
-          ev.model = em.name;
-          local.record(std::move(ev));
-        }
-      }
-      r.non_finite = golden_nf;
-      if (tracing) {
-        r.attempt = unit.seq;
-        r.rep_index = static_cast<std::int32_t>(rep);
-        r.events = local.take_events();
-        // The pruned injection's faulty logits ARE the golden logits.
-        if (local.capture_logits()) r.logits = golden.clone();
-      }
-      for (const std::int64_t row : eligible) {
-        if (loc.batch != kAllBatchElements && loc.batch != row) continue;
-        r.corrupted.push_back(0);
-      }
-    } else {
-      fi.declare_neuron_fault(loc, em);
-      const Tensor faulty =
-          fi.forward(batch.images, ForwardMode::kReusePrefix);
-      fi.clear();
-
-      const RepScorer scorer(golden_top1, faulty, base.criterion);
-      r.non_finite = scorer.faulty_non_finite;
-      if (tracing) {
-        r.attempt = unit.seq;
-        r.rep_index = static_cast<std::int32_t>(rep);
-        r.events = local.take_events();
-        if (local.capture_logits()) r.logits = faulty.clone();
-      }
-      for (const std::int64_t row : eligible) {
-        if (loc.batch != kAllBatchElements && loc.batch != row) continue;
-        r.corrupted.push_back(scorer.is_corrupted(row) ? 1 : 0);
-      }
-    }
-    out.reps.push_back(std::move(r));
-  }
-  return out;
+AttemptDraw stratum_draw(const StratifiedCampaignConfig& config,
+                         const StratifiedSchedule& sched,
+                         const std::vector<bool>& relu_adj,
+                         const StratUnit& unit) {
+  const Stratum& st = sched.strata[unit.stratum];
+  return {.root = derive_seed(config.base.seed,
+                              static_cast<std::uint64_t>(unit.stratum),
+                              kStratumStream),
+          .index = unit.attempt,
+          .attempt = unit.seq,
+          .stratum = &st,
+          .prunable =
+              config.prune && relu_adj[static_cast<std::size_t>(st.layer)],
+          .prune_verify = config.prune_verify};
 }
 
 StratifiedFold::StratifiedFold(StratifiedSchedule schedule,
@@ -480,21 +265,11 @@ void StratifiedFold::merge_unit(const StratUnit& unit, UnitOutcome& out) {
   for (auto& rep : out.reps) {
     if (st.trials >= sched_.caps[unit.stratum]) break;
     if (rep.non_finite) ++st.non_finite;
-    if (sink_ != nullptr) {
-      // Trial index stamped at merge; the `attempt` restamp is a no-op for
-      // live execution (run_stratum_attempt already used unit.seq as its
-      // sink context) but restores the global sequence number on shard
-      // records, which were produced without knowing it.
-      for (trace::InjectionEvent& ev : rep.events) {
-        ev.trial = pooled_trials_;
-        ev.attempt = unit.seq;
-      }
-      sink_->append(std::move(rep.events));
-      if (sink_->capture_logits() && rep.logits.defined()) {
-        sink_->append_logits(
-            {rep.attempt, rep.rep_index, std::move(rep.logits)});
-      }
-    }
+    // Stamping unit.seq is a no-op for live execution (run_attempt already
+    // used it as the attempt) but restores the global sequence number on
+    // shard records, which were produced without knowing it.
+    ship_trace(sink_, pooled_trials_, unit.seq, rep.rep_index, rep.events,
+               rep.logits);
     for (const std::uint8_t corrupted : rep.corrupted) {
       ++st.trials;
       ++pooled_trials_;
@@ -660,7 +435,7 @@ std::uint64_t stratified_fingerprint(const StratifiedCampaignConfig& config,
   // knobs folded into the context so a uniform checkpoint (whose prefix is
   // "classification|...") can never resume a stratified run or vice versa.
   std::ostringstream os;
-  os << "stratified|hw=" << config.target_half_width
+  os << "stratified|hw=" << util::double_bits_hex(config.target_half_width)
      << "|prune=" << (config.prune ? 1 : 0) << "|ctx=" << context;
   CampaignConfig base = config.base;
   base.error_model = single_bit_flip(-1);  // the model the sampler imposes
@@ -684,14 +459,7 @@ StratifiedResult run_stratified_campaign(FaultInjector& fi,
   StratifiedFold fold(detail::make_stratified_schedule(fi, config),
                       base.trace);
   const StratifiedSchedule& sched = fold.schedule();
-  const std::size_t S = sched.strata.size();
-
   const std::vector<bool> relu_adj = relu_adjacent_layers(fi);
-  std::vector<bool> prunable(S);
-  for (std::size_t s = 0; s < S; ++s) {
-    prunable[s] = config.prune &&
-                  relu_adj[static_cast<std::size_t>(sched.strata[s].layer)];
-  }
 
   std::uint64_t wave_index = 0;
   if (base.checkpoint != nullptr) {
@@ -717,9 +485,9 @@ StratifiedResult run_stratified_campaign(FaultInjector& fi,
   detail::run_ordered_units(
       set, [&] { return fold.compose_wave(); },
       [&](std::size_t g, const StratUnit& u) {
-        return detail::run_stratum_attempt(set[g], ds, config,
-                                           sched.strata[u.stratum],
-                                           prunable[u.stratum], u);
+        return detail::run_attempt(
+            set[g], ds, base, detail::stratum_draw(config, sched, relu_adj, u),
+            detail::AttemptTrace::for_sink(base.trace));
       },
       [&](const StratUnit& u, UnitOutcome& out) {
         fold.merge_unit(u, out);

@@ -30,8 +30,9 @@
 //    with ReLU(corrupted) bit-identical to ReLU(golden) — e.g. any
 //    non-sign flip of a ReLU-dead (<= 0) activation, including quantized
 //    low-magnitude flips below the zero crossing — provably cannot change
-//    any logit. It is scored as a real (non-corrupting) trial WITHOUT
-//    executing the faulty forward, counted in `pruned`.
+//    any logit. It skips its faulty forward and is scored from the golden
+//    logits, which are exactly its faulty logits (so a non-finite golden
+//    pass scores it as executing it would), counted in `pruned`.
 //  * Golden-pass amortization: unchanged from the uniform runner
 //    (injections_per_image, prefix cache).
 //
@@ -64,7 +65,8 @@ struct Stratum {
 struct StratumOutcome {
   Stratum stratum;
   /// Per-stratum counters; `trials` includes pruned (analytically-masked)
-  /// injections — they are exact zero-corruption observations.
+  /// injections, scored from the golden logits — exactly the faulty logits
+  /// executing them would produce.
   CampaignResult counts;
   std::uint64_t pruned = 0;    ///< trials scored without a faulty forward
   std::uint64_t executed = 0;  ///< faulty forwards actually run
@@ -120,13 +122,15 @@ struct StratifiedCampaignConfig {
   /// base.trials.
   double target_half_width = 0.0;
   /// Analytic masked-fault pruning (see file comment). Pure execution-count
-  /// knob: counters, CSV, estimates and the injection trace are identical
-  /// either way (a pruned trial's events are synthesized as if it ran);
-  /// only the number of executed forwards differs.
+  /// knob: counters, CSV, estimates, the injection trace and the captured
+  /// logits are identical either way (a pruned trial is scored from the
+  /// golden logits, which are its faulty logits, and its events are
+  /// computed as if it ran); only the number of executed forwards differs.
   bool prune = true;
   /// Verification mode (PFI_PRUNE_VERIFY=1): execute every pruned injection
-  /// anyway and abort if the top-1 outcome is NOT unchanged — the pruner's
-  /// soundness oracle. Counters stay identical to a non-verify run.
+  /// anyway and abort unless its logits are bit-identical to the golden
+  /// ones — the pruner's soundness oracle. Counters stay identical to a
+  /// non-verify run.
   bool prune_verify = false;
 };
 

@@ -1,8 +1,9 @@
 // Shared internals of the stratified campaign runner (core/sampling.cpp).
-// Extracted so core/shard.cpp can drive the SAME schedule and fold code in
-// three places — the single-process runner, a shard process executing only
-// its owned strata, and the merge step replaying recorded outcomes — which
-// is what makes a merged shard set byte-identical to a single-process run.
+// Extracted so core/shard.cpp can drive the SAME schedule, unit draws (run
+// by core/campaign_internal.hpp's run_attempt) and fold code in three
+// places — the single-process runner, a shard process executing only its
+// owned strata, and the merge step replaying recorded outcomes — which is
+// what makes a merged shard set byte-identical to a single-process run.
 //
 // The load-bearing property: in fixed-budget mode (target_half_width == 0)
 // every scheduling decision for stratum s (quantum size, open/closed, caps)
@@ -65,15 +66,16 @@ struct StratifiedSchedule {
 StratifiedSchedule make_stratified_schedule(
     FaultInjector& fi, const StratifiedCampaignConfig& config);
 
-/// Run one attempt of stratum `st` (index unit.stratum) on one worker. All
-/// randomness derives from (config.seed, stratum index, attempt index) —
-/// never from which worker or process runs it — so the outcome is a pure
-/// function of the unit.
-UnitOutcome run_stratum_attempt(FaultInjector& fi,
-                                const data::SyntheticDataset& ds,
-                                const StratifiedCampaignConfig& config,
-                                const Stratum& st, bool prunable,
-                                const StratUnit& unit);
+/// The draw detail::run_attempt executes for `unit`: its stratum's seed
+/// root and the unit's stratum-local attempt — so the outcome is a pure
+/// function of (config.seed, stratum index, attempt index), never of which
+/// worker or process runs it — stamped with the unit's global sequence
+/// number. Pruning applies when config.prune is on and the stratum's layer
+/// feeds a ReLU (`relu_adj`, from relu_adjacent_layers).
+AttemptDraw stratum_draw(const StratifiedCampaignConfig& config,
+                         const StratifiedSchedule& sched,
+                         const std::vector<bool>& relu_adj,
+                         const StratUnit& unit);
 
 /// The deterministic scheduler + fold of a stratified campaign: owns the
 /// per-stratum counters, composes waves as a pure function of them, and

@@ -1,7 +1,6 @@
 #include "core/shard.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <limits>
 #include <sstream>
 #include <utility>
@@ -24,12 +23,6 @@ using detail::UnitOutcome;
 
 /// fnv1a's offset basis — the digest of an empty log.
 constexpr std::uint64_t kFnvBasis = 14695981039346656037ull;
-
-std::string double_bits_hex(double v) {
-  std::ostringstream os;
-  os << "0x" << std::hex << std::bit_cast<std::uint64_t>(v);
-  return os.str();
-}
 
 // ---------------------------------------------------------------------------
 // Shard log records. One record line per attempt/unit, followed by the
@@ -99,6 +92,8 @@ std::vector<ParsedRecord> parse_shard_log(const std::string& text,
     r.key("reps");
     while (r.next_item()) {
       UnitOutcome::Rep rep;
+      // A uniform rep's trace is stamped with its global attempt.
+      if (rec_kind == 1) rep.attempt = rec.attempt;
       rep.non_finite = r.lit("[").i64(0, 1) != 0;
       if (rec_kind == 2) rep.pruned = r.lit(",").i64(0, 1) != 0;
       for (const char c : r.lit(",").str()) {
@@ -180,17 +175,6 @@ void write_manifest(const ShardPaths& paths, const ShardManifest& m) {
   util::atomic_write_file(paths.manifest, shard_manifest_to_json(m));
 }
 
-void fold_progress(CampaignResult& acc, const UnitOutcome& out) {
-  acc.skipped += out.skipped;
-  for (const auto& rep : out.reps) {
-    if (rep.non_finite) ++acc.non_finite;
-    for (const std::uint8_t c : rep.corrupted) {
-      ++acc.trials;
-      acc.corruptions += c;
-    }
-  }
-}
-
 /// Horizon of a standalone shard run (ShardPlan::horizon == 0). Generous on
 /// purpose: every extra pfi_launch round respawns and retrains each worker.
 std::int64_t default_horizon(const CampaignConfig& config) {
@@ -223,7 +207,7 @@ std::string shard_manifest_to_json(const ShardManifest& m) {
     const Stratum& st = m.strata[s];
     if (s != 0) os << ',';
     os << '[' << st.layer << ',' << st.bit_class << ',' << st.bit_lo << ','
-       << st.bit_hi << ",\"" << double_bits_hex(st.weight) << "\","
+       << st.bit_hi << ",\"" << util::double_bits_hex(st.weight) << "\","
        << m.stratum_caps[s] << ',' << m.stratum_attempt_caps[s] << ']';
   }
   os << "]}";
@@ -330,14 +314,6 @@ ShardRunReport run_classification_shard(FaultInjector& fi,
     return {m, paths};
   }
 
-  // The attempt runner reads config.trace only as "record events?" and
-  // "capture logits?" signals; events land in the outcome's reps, never in
-  // the sink itself, so a shared dummy is safe across workers.
-  CampaignConfig run_cfg = config;
-  run_cfg.checkpoint = nullptr;
-  trace::TraceSink dummy(false);
-  run_cfg.trace = record ? &dummy : nullptr;
-
   const std::int64_t threads = detail::resolve_threads(
       config.threads, std::max<std::int64_t>(1, owned_total - rec));
   detail::WorkerSet set(fi, threads);
@@ -353,14 +329,18 @@ ShardRunReport run_classification_shard(FaultInjector& fi,
                    [k, S](std::int64_t r) { return k + r * S; });
       },
       [&](std::size_t g, std::int64_t a) {
-        return detail::run_campaign_attempt(set[g], ds, run_cfg, a);
+        const auto au = static_cast<std::uint64_t>(a);
+        return detail::run_attempt(
+            set[g], ds, config,
+            {.root = config.seed, .index = au, .attempt = au},
+            {.events = record});
       },
       [&](std::int64_t a, UnitOutcome& out) {
         // Serialized in owned-attempt order — the log's bytes are a pure
         // function of (config, plan), independent of the thread count.
         append_record(bytes, 1, 0, static_cast<std::uint64_t>(a), out,
                       record);
-        fold_progress(progress, out);
+        detail::merge_campaign_attempt(progress, out);
         ++rec;
         return false;
       },
@@ -409,11 +389,6 @@ ShardRunReport run_stratified_shard(FaultInjector& fi,
   }
 
   const std::vector<bool> relu_adj = relu_adjacent_layers(fi);
-  std::vector<bool> prunable(num_strata);
-  for (std::size_t s = 0; s < num_strata; ++s) {
-    prunable[s] = config.prune &&
-                  relu_adj[static_cast<std::size_t>(sched.strata[s].layer)];
-  }
 
   util::ensure_dir(dir);
   const ShardPaths paths = shard_paths(dir, plan.shard_index, plan.shards);
@@ -453,11 +428,6 @@ ShardRunReport run_stratified_shard(FaultInjector& fi,
     return {m, paths};
   }
 
-  StratifiedCampaignConfig run_cfg = config;
-  run_cfg.base.checkpoint = nullptr;
-  trace::TraceSink dummy(false);
-  run_cfg.base.trace = record ? &dummy : nullptr;
-
   const std::int64_t threads = detail::resolve_threads(
       base.threads, std::max<std::int64_t>(1, base.trials / 4));
   detail::WorkerSet set(fi, threads);
@@ -465,9 +435,9 @@ ShardRunReport run_stratified_shard(FaultInjector& fi,
   detail::run_ordered_units(
       set, [&] { return fold.compose_wave(&owned); },
       [&](std::size_t g, const StratUnit& u) {
-        return detail::run_stratum_attempt(set[g], ds, run_cfg,
-                                           sched.strata[u.stratum],
-                                           prunable[u.stratum], u);
+        return detail::run_attempt(
+            set[g], ds, base, detail::stratum_draw(config, sched, relu_adj, u),
+            {.events = record});
       },
       [&](const StratUnit& u, UnitOutcome& out) {
         append_record(bytes, 2, u.stratum, u.attempt, out, record);

@@ -2,8 +2,7 @@
 //
 // A campaign's attempt space is split across S shard processes; each shard
 // computes its owned attempts with the SAME per-attempt code the
-// single-process engines use (core/campaign_internal.hpp's
-// run_campaign_attempt, core/sampling_internal.hpp's run_stratum_attempt),
+// single-process engines use (core/campaign_internal.hpp's run_attempt),
 // records every outcome to an append-only log, and describes itself in a
 // versioned manifest. A separate merge step replays the single-process fold
 // over the recorded outcomes in GLOBAL attempt order — so the merged

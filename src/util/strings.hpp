@@ -122,4 +122,16 @@ inline std::string float_bits_hex(float v) {
   return buf;
 }
 
+/// "0x"-prefixed hex of a double's IEEE-754 bit pattern, without leading
+/// zeros. Shard manifests store stratum weights in it, and campaign
+/// fingerprints hash their doubles through it, so two doubles agree iff
+/// their bits do (decimal output would round them to a few digits).
+inline std::string double_bits_hex(double v) {
+  char buf[19];
+  std::snprintf(
+      buf, sizeof buf, "0x%llx",
+      static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(v)));
+  return buf;
+}
+
 }  // namespace pfi::util

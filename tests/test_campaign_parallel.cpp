@@ -152,7 +152,11 @@ bool same_result(const CampaignResult& a, const CampaignResult& b) {
 // Each run builds its model from the same seed, so any count difference can
 // only come from the execution schedule. single_bit_flip() with no fixed bit
 // draws from the injector's internal RNG — the hardest case for determinism.
-CampaignResult run_neuron(std::int64_t threads) {
+// `one_fault_per_layer` arms a fault in every instrumented layer per rep
+// (pfi_cli --per-layer); `sink`, when set, receives the campaign's trace.
+CampaignResult run_neuron(std::int64_t threads,
+                          bool one_fault_per_layer = false,
+                          trace::TraceSink* sink = nullptr) {
   Rng rng(90);
   data::SyntheticDataset ds(campaign_spec());
   auto model = make_model("squeezenet", {.num_classes = 10}, rng);
@@ -163,19 +167,42 @@ CampaignResult run_neuron(std::int64_t threads) {
   cfg.seed = 91;
   cfg.batch_size = 4;
   cfg.injections_per_image = 2;
+  cfg.one_fault_per_layer = one_fault_per_layer;
   cfg.threads = threads;
+  cfg.trace = sink;
   return run_classification_campaign(fi, ds, cfg);
 }
 
 TEST(CampaignParallel, NeuronCampaignIdenticalForOneAndFourThreads) {
-  const auto serial = run_neuron(1);
-  const auto parallel = run_neuron(4);
-  EXPECT_EQ(serial.trials, 24u);
-  EXPECT_TRUE(same_result(serial, parallel))
-      << "threads=1 {" << serial.trials << "," << serial.skipped << ","
-      << serial.corruptions << "," << serial.non_finite << "} vs threads=4 {"
-      << parallel.trials << "," << parallel.skipped << ","
-      << parallel.corruptions << "," << parallel.non_finite << "}";
+  for (const bool per_layer : {false, true}) {
+    SCOPED_TRACE(per_layer ? "one_fault_per_layer" : "one fault per rep");
+    trace::TraceSink sink;
+    const auto serial = run_neuron(1, per_layer, &sink);
+    const auto parallel = run_neuron(4, per_layer);
+    EXPECT_EQ(serial.trials, 24u);
+    EXPECT_TRUE(same_result(serial, parallel))
+        << "threads=1 {" << serial.trials << "," << serial.skipped << ","
+        << serial.corruptions << "," << serial.non_finite
+        << "} vs threads=4 {" << parallel.trials << "," << parallel.skipped
+        << "," << parallel.corruptions << "," << parallel.non_finite << "}";
+    if (!per_layer || !trace::kEnabled) continue;
+    // Every rep arms one fault per instrumented layer, so its events name
+    // each layer exactly once.
+    Rng rng(90);
+    const FaultInjector fi(make_model("squeezenet", {.num_classes = 10}, rng),
+                           parallel_config());
+    const std::vector<int> once(static_cast<std::size_t>(fi.num_layers()), 1);
+    const auto reps = trace::split_reps(sink.events());
+    ASSERT_FALSE(reps.empty());
+    for (const auto& rep : reps) {
+      std::vector<int> hits(once.size(), 0);
+      for (const trace::InjectionEvent& ev : rep) {
+        ++hits.at(static_cast<std::size_t>(ev.layer));
+      }
+      EXPECT_EQ(hits, once) << "attempt " << rep.front().attempt << " rep "
+                            << rep.front().rep;
+    }
+  }
 }
 
 TEST(CampaignParallel, NeuronCampaignStableRunToRun) {

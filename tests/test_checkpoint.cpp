@@ -14,6 +14,7 @@
 #include "core/checkpoint.hpp"
 #include "core/fault_injector.hpp"
 #include "core/report.hpp"
+#include "core/sampling.hpp"
 #include "models/zoo.hpp"
 #include "util/fileio.hpp"
 
@@ -142,6 +143,31 @@ TEST(CheckpointFingerprint, SensitiveToOutcomeShapingFields) {
   EXPECT_NE(campaign_fingerprint(c, "ctx"), fp);
 
   EXPECT_NE(campaign_fingerprint(base, "other-model"), fp);
+
+  // Doubles are hashed by bit pattern, so values that print alike at six
+  // significant digits must still fingerprint apart.
+  StratifiedCampaignConfig strat;
+  strat.base = base;
+  strat.target_half_width = 0.01;
+  StratifiedCampaignConfig strat2 = strat;
+  strat2.target_half_width = 0.0100000001;
+  EXPECT_NE(stratified_fingerprint(strat2, "ctx"),
+            stratified_fingerprint(strat, "ctx"));
+
+  FleetCampaignConfig fleet;
+  fleet.scenario.ber = 1e-7;
+  fleet.scenario.distance_mean = 1.5;
+  fleet.scenario.distance_stddev = 0.25;
+  const std::uint64_t fleet_fp = fleet_campaign_fingerprint(fleet, "ctx");
+  FleetCampaignConfig f = fleet;
+  f.scenario.ber = 1.0000001e-7;
+  EXPECT_NE(fleet_campaign_fingerprint(f, "ctx"), fleet_fp);
+  f = fleet;
+  f.scenario.distance_mean = 1.5000001;
+  EXPECT_NE(fleet_campaign_fingerprint(f, "ctx"), fleet_fp);
+  f = fleet;
+  f.scenario.distance_stddev = 0.25000001;
+  EXPECT_NE(fleet_campaign_fingerprint(f, "ctx"), fleet_fp);
 }
 
 TEST(CheckpointFingerprint, ThreadCountDeliberatelyExcluded) {

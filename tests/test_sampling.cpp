@@ -25,6 +25,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -101,6 +102,20 @@ const TinyFixture& tiny() {
     return f;
   }();
   return *fx;
+}
+
+/// tiny()'s model with a NaN bias on class 2's logit. Classes 0 and 1 still
+/// classify correctly, but every logits tensor — golden or faulty — is
+/// non-finite, so every trial, pruned or executed, is a corruption.
+std::shared_ptr<nn::Module> tiny_nan_logits_model() {
+  static const std::shared_ptr<nn::Module> model = [] {
+    auto m = nn::clone_model(*tiny().model);
+    auto& seq = dynamic_cast<nn::Sequential&>(*m);
+    auto& head = dynamic_cast<nn::Linear&>(seq.at(seq.size() - 1));
+    head.bias().value[2] = std::numeric_limits<float>::quiet_NaN();
+    return m;
+  }();
+  return model;
 }
 
 FiConfig tiny_fi_config(DType dtype = DType::kFloat32) {
@@ -201,6 +216,12 @@ StratifiedCampaignConfig tiny_campaign(std::uint64_t seed,
 
 bool same_bits(const CampaignResult& a, const CampaignResult& b) {
   return std::memcmp(&a, &b, sizeof(CampaignResult)) == 0;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.data().size() * sizeof(float)) == 0;
 }
 
 /// Removes the file (and the atomic-write temp sibling) on both ends of the
@@ -556,34 +577,55 @@ TEST(Sampling, UniformCheckpointCannotResumeStratifiedRun) {
 
 TEST(Sampling, PruningIsPureExecutionKnob) {
   const auto& fx = tiny();
-  FaultInjector fi_on(fx.model, tiny_fi_config());
-  FaultInjector fi_off(fx.model, tiny_fi_config());
-  trace::TraceSink sink_on;
-  trace::TraceSink sink_off;
-  StratifiedCampaignConfig on = tiny_campaign(41);
-  on.base.trace = &sink_on;
-  StratifiedCampaignConfig off = tiny_campaign(41);
-  off.prune = false;
-  off.base.trace = &sink_off;
-  const StratifiedResult a = run_stratified_campaign(fi_on, fx.ds, on);
-  const StratifiedResult b = run_stratified_campaign(fi_off, fx.ds, off);
+  // The second model's golden logits hold a NaN: a pruned trial must score
+  // the corruption its execution would.
+  const std::shared_ptr<nn::Module> models[] = {fx.model,
+                                                tiny_nan_logits_model()};
+  for (const auto& model : models) {
+    SCOPED_TRACE(model == fx.model ? "tiny" : "tiny with NaN logits");
+    FaultInjector fi_on(model, tiny_fi_config());
+    FaultInjector fi_off(model, tiny_fi_config());
+    trace::TraceSink sink_on(/*capture_logits=*/true);
+    trace::TraceSink sink_off(/*capture_logits=*/true);
+    StratifiedCampaignConfig on = tiny_campaign(41);
+    on.base.trace = &sink_on;
+    StratifiedCampaignConfig off = tiny_campaign(41);
+    off.prune = false;
+    off.base.trace = &sink_off;
+    const StratifiedResult a = run_stratified_campaign(fi_on, fx.ds, on);
+    const StratifiedResult b = run_stratified_campaign(fi_off, fx.ds, off);
 
-  EXPECT_GT(a.pruned, 0u) << "fixture produced no prunable injections";
-  EXPECT_EQ(b.pruned, 0u);
-  EXPECT_LT(a.faulty_passes, b.faulty_passes);
-  EXPECT_TRUE(same_bits(a.totals, b.totals));
-  const Proportion pa = a.estimate();
-  const Proportion pb = b.estimate();
-  EXPECT_EQ(pa.value, pb.value);
-  EXPECT_EQ(pa.lo, pb.lo);
-  EXPECT_EQ(pa.hi, pb.hi);
-  EXPECT_EQ(csv_bytes(a, "prune_on"), csv_bytes(b, "prune_off"));
-  if constexpr (trace::kEnabled) {
-    // Pruned injections synthesize their trace events analytically; the
-    // stream must be byte-identical to real execution.
-    ASSERT_FALSE(sink_on.events().empty());
-    EXPECT_EQ(trace::trace_to_jsonl(sink_on.events()),
-              trace::trace_to_jsonl(sink_off.events()));
+    EXPECT_GT(a.pruned, 0u) << "fixture produced no prunable injections";
+    EXPECT_EQ(b.pruned, 0u);
+    EXPECT_LT(a.faulty_passes, b.faulty_passes);
+    EXPECT_TRUE(same_bits(a.totals, b.totals))
+        << "corruptions " << a.totals.corruptions << " (prune on) vs "
+        << b.totals.corruptions << " (prune off)";
+    const Proportion pa = a.estimate();
+    const Proportion pb = b.estimate();
+    EXPECT_EQ(pa.value, pb.value);
+    EXPECT_EQ(pa.lo, pb.lo);
+    EXPECT_EQ(pa.hi, pb.hi);
+    EXPECT_EQ(csv_bytes(a, "prune_on"), csv_bytes(b, "prune_off"));
+    if constexpr (trace::kEnabled) {
+      // Pruned injections compute their trace events analytically; the
+      // stream must be byte-identical to real execution.
+      ASSERT_FALSE(sink_on.events().empty());
+      EXPECT_EQ(trace::trace_to_jsonl(sink_on.events()),
+                trace::trace_to_jsonl(sink_off.events()));
+      // A pruned rep's logits record carries the golden logits, which must
+      // be exactly what executing it produced.
+      const auto& lon = sink_on.logits();
+      const auto& loff = sink_off.logits();
+      ASSERT_FALSE(lon.empty());
+      ASSERT_EQ(lon.size(), loff.size());
+      for (std::size_t i = 0; i < lon.size(); ++i) {
+        EXPECT_EQ(lon[i].attempt, loff[i].attempt) << "logits record " << i;
+        EXPECT_EQ(lon[i].rep, loff[i].rep) << "logits record " << i;
+        EXPECT_TRUE(same_bits(lon[i].logits, loff[i].logits))
+            << "logits record " << i;
+      }
+    }
   }
 }
 
