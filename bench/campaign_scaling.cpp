@@ -46,11 +46,6 @@ int main() {
   const bool tracing = util::env_int("PFI_CAMPAIGN_TRACE", 0) != 0;
   const bool checkpointing = util::env_int("PFI_CAMPAIGN_CHECKPOINT", 0) != 0;
   const std::int64_t shards = util::env_int("PFI_SHARDS", 1);
-  if (tracing && !trace::kEnabled) {
-    std::printf("PFI_CAMPAIGN_TRACE=1 but tracing is compiled out "
-                "(PFI_TRACE=OFF)\n");
-    return 1;
-  }
   if (shards > 1 && checkpointing) {
     std::printf("PFI_SHARDS conflicts with PFI_CAMPAIGN_CHECKPOINT — shard "
                 "runs manage their own checkpoints\n");

@@ -32,6 +32,7 @@
 #include "core/fault_injector.hpp"
 #include "core/profile.hpp"
 #include "models/zoo.hpp"
+#include "util/env.hpp"
 
 namespace {
 
@@ -63,7 +64,7 @@ Workload& get_workload(const std::string& dataset, const std::string& net,
   core::FiConfig fi_cfg{.input_shape = {3, size, size}, .batch_size = batch};
   // Strict parse: garbage in PFI_PREFIX_CACHE throws instead of silently
   // timing the wrong configuration.
-  fi_cfg.prefix_cache = core::prefix_cache_env_enabled(true);
+  fi_cfg.prefix_cache = util::env_flag("PFI_PREFIX_CACHE", true);
   w.injector = std::make_unique<core::FaultInjector>(w.model, fi_cfg);
   w.input = Tensor::rand({batch, 3, size, size}, rng, -1.0f, 1.0f);
   return cache.emplace(key, std::move(w)).first->second;

@@ -14,9 +14,9 @@
 // visible (e.g. AlexNet's rate is comparable to much-larger ShuffleNet's).
 //
 // Environment knobs: PFI_TRIALS (default 1200), PFI_EPOCHS (default 3),
-// PFI_THREADS (default 0 = hardware concurrency), PFI_PREFIX_CACHE
+// PFI_THREADS (default 0 = hardware concurrency) and PFI_PREFIX_CACHE
 // (strictly "0" or "1"; default on — pure speed knob, identical results;
-// see core/prefix_cache.hpp) and PFI_PREFIX_CACHE_MB (snapshot budget).
+// see core/prefix_cache.hpp).
 // PFI_SAMPLER=stratified switches to the stratified adaptive sampler
 // (core/sampling.hpp; same single-bit-flip fault space, pooled stratified
 // estimator in place of the uniform Wilson interval) and prints an
@@ -76,7 +76,7 @@ int main() {
   const bool resume = util::env_int("PFI_RESUME", 0) != 0;
   // Strict parse: a typo in PFI_PREFIX_CACHE throws instead of silently
   // timing the wrong configuration.
-  const bool prefix_cache = core::prefix_cache_env_enabled(true);
+  const bool prefix_cache = util::env_flag("PFI_PREFIX_CACHE", true);
   const bool stratified = stratified_sampler_enabled();
   const double ci_target = util::env_double("PFI_CI_TARGET", 0.0);
   const std::int64_t shards = util::env_int("PFI_SHARDS", 1);
@@ -151,7 +151,7 @@ int main() {
     if (stratified) {
       scfg.base = cfg;
       scfg.target_half_width = ci_target;
-      scfg.prune_verify = core::prune_verify_env_enabled();
+      scfg.prune_verify = util::env_flag("PFI_PRUNE_VERIFY", false);
     }
     std::unique_ptr<core::CampaignCheckpointer> ckpt;
     if (!checkpoint_prefix.empty()) {

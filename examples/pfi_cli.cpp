@@ -66,6 +66,7 @@
 #include "models/trainer.hpp"
 #include "models/zoo.hpp"
 #include "quant/static_act.hpp"
+#include "util/env.hpp"
 #include "util/fileio.hpp"
 
 namespace {
@@ -161,10 +162,8 @@ int run(int argc, char** argv) {
   if (!opt.per_layer_dtype.empty()) {
     fi_cfg.per_layer = *core::parse_per_layer_dtype(opt.per_layer_dtype);
   }
-  // Flag wins over the PFI_PREFIX_CACHE env toggle; both are pure speed
-  // knobs (campaign results are byte-identical either way).
-  fi_cfg.prefix_cache =
-      opt.prefix_cache && core::prefix_cache_env_enabled(true);
+  // A pure speed knob: campaign results are byte-identical either way.
+  fi_cfg.prefix_cache = opt.prefix_cache;
 
   // Static activation calibration (--static-calib): frozen per-layer INT8
   // activation scales from a golden fp32 pass, so native INT8 layers skip
@@ -216,10 +215,6 @@ int run(int argc, char** argv) {
   if (opt.profile) fi.set_profiler(&profiler);
 
   const bool want_trace = !opt.trace_path.empty();
-  if (want_trace && !trace::kEnabled) {
-    std::fprintf(stderr, "error: --trace requires a build with PFI_TRACE=ON\n");
-    return 2;
-  }
 
   // --- fleet-degradation mode: serve `horizon` inference events while the
   // persistent fault process (--ber / --persist) corrupts the weights in
@@ -344,7 +339,7 @@ int run(int argc, char** argv) {
     scfg.base = cfg;
     scfg.target_half_width = opt.ci_target;
     scfg.prune = opt.prune;
-    scfg.prune_verify = core::prune_verify_env_enabled();
+    scfg.prune_verify = util::env_flag("PFI_PRUNE_VERIFY", false);
   }
 
   // The experiment-identity string folded into checkpoint and shard

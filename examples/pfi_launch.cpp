@@ -176,7 +176,8 @@ int main(int argc, char** argv) {
     }
     const char* v = argv[++i];
     if (a == "--shard-dir") dir = v;
-    else if (a == "--shards") shards = int_flag("--shards", v, 1, 4096);
+    else if (a == "--shards")
+      shards = int_flag("--shards", v, 1, core::kMaxShards);
     else if (a == "--bin") bin = v;
     else if (a == "--max-restarts")
       max_restarts = int_flag("--max-restarts", v, 0, 1000);

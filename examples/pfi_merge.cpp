@@ -55,10 +55,6 @@ int main(int argc, char** argv) {
     }
   }
   if (manifests.empty()) usage_and_exit("no shard manifests given");
-  if (!trace_path.empty() && !trace::kEnabled) {
-    std::fprintf(stderr, "error: --trace requires a build with PFI_TRACE=ON\n");
-    return 2;
-  }
 
   trace::TraceSink sink;
   try {

@@ -6,6 +6,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/shard.hpp"
 #include "util/bits.hpp"
 #include "util/parse.hpp"
 
@@ -347,10 +348,10 @@ CliParse parse_cli_args(int argc, const char* const* argv) {
         opt.ci_target = *r;
       }
     } else if (a == "--shards") {
-      const auto n = int_flag(a, v, 1, 4096, &error);
+      const auto n = int_flag(a, v, 1, kMaxShards, &error);
       if (n) opt.shards = *n;
     } else if (a == "--shard-index") {
-      const auto n = int_flag(a, v, 0, 4095, &error);
+      const auto n = int_flag(a, v, 0, kMaxShards - 1, &error);
       if (n) opt.shard_index = *n;
     } else if (a == "--shard-horizon") {
       const auto n = int_flag(a, v, 1, 1'000'000'000'000, &error);

@@ -20,6 +20,9 @@ FaultInjector::FaultInjector(std::shared_ptr<nn::Module> model, FiConfig config)
       << shape_to_string(config_.input_shape);
   PFI_CHECK(config_.batch_size > 0)
       << "FiConfig.batch_size=" << config_.batch_size;
+  PFI_CHECK(config_.prefix_cache_mb >= 0 && config_.prefix_cache_mb <= 1 << 20)
+      << "FiConfig.prefix_cache_mb=" << config_.prefix_cache_mb
+      << ", must be in [0, 1048576]";
 
   // Select instrumented layers: every convolution (the paper's target
   // operation), plus Linear layers when requested.
@@ -82,11 +85,9 @@ FaultInjector::FaultInjector(std::shared_ptr<nn::Module> model, FiConfig config)
   }
 
   if (config_.prefix_cache) {
-    const std::size_t budget =
-        config_.prefix_cache_mb >= 0
-            ? static_cast<std::size_t>(config_.prefix_cache_mb) * 1024u * 1024u
-            : prefix_cache_default_budget();
-    prefix_cache_ = std::make_unique<PrefixCache>(*model_, budget);
+    prefix_cache_ = std::make_unique<PrefixCache>(
+        *model_,
+        static_cast<std::size_t>(config_.prefix_cache_mb) * 1024u * 1024u);
   }
 }
 
@@ -273,11 +274,9 @@ void FaultInjector::record_neuron_event(std::int64_t layer,
                                         float post,
                                         const std::string& model_name,
                                         const quant::QuantParams& qparams) {
-  if constexpr (trace::kEnabled) {
-    if (sink_ != nullptr) {
-      emit_event(trace::FaultKind::kNeuron, layer, coords, flat, pre, post,
-                 model_name, qparams);
-    }
+  if (sink_ != nullptr) {
+    emit_event(trace::FaultKind::kNeuron, layer, coords, flat, pre, post,
+               model_name, qparams);
   }
 }
 
@@ -378,12 +377,10 @@ void FaultInjector::declare_weight_fault(const WeightLocation& loc,
   w[flat] = model.apply(pre, ctx);
   conv.invalidate_weight_packs();
   ++injections_;
-  if constexpr (trace::kEnabled) {
-    if (sink_ != nullptr) {
-      const std::int64_t coords[4] = {loc.out_c, loc.in_c, loc.kh, loc.kw};
-      emit_event(trace::FaultKind::kWeight, loc.layer, coords, flat, pre,
-                 w[flat], model.name, ctx.qparams);
-    }
+  if (sink_ != nullptr) {
+    const std::int64_t coords[4] = {loc.out_c, loc.in_c, loc.kh, loc.kw};
+    emit_event(trace::FaultKind::kWeight, loc.layer, coords, flat, pre,
+               w[flat], model.name, ctx.qparams);
   }
 }
 
@@ -530,13 +527,11 @@ void FaultInjector::commit_persistent_write(std::int64_t layer,
   w[flat] = post;
   m.invalidate_weight_packs();
   ++injections_;
-  if constexpr (trace::kEnabled) {
-    if (sink_ != nullptr) {
-      std::int64_t coords[4];
-      weight_coords(w, flat, coords);
-      emit_event(trace::FaultKind::kPersist, layer, coords, flat, pre, post,
-                 model_name, qparams, time);
-    }
+  if (sink_ != nullptr) {
+    std::int64_t coords[4];
+    weight_coords(w, flat, coords);
+    emit_event(trace::FaultKind::kPersist, layer, coords, flat, pre, post,
+               model_name, qparams, time);
   }
 }
 

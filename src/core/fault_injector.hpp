@@ -71,11 +71,10 @@ struct FiConfig {
   std::uint64_t seed = 0xf15eedull;
   /// Enable golden-prefix activation reuse (core/prefix_cache.hpp). Purely
   /// a speed knob: campaign counts, CSV, traces, and checkpoints are
-  /// byte-identical either way. Callers wishing to honor the
-  /// PFI_PREFIX_CACHE env toggle set this from prefix_cache_env_enabled().
+  /// byte-identical either way.
   bool prefix_cache = true;
-  /// Snapshot byte budget in MB; -1 reads PFI_PREFIX_CACHE_MB (default 256).
-  std::int64_t prefix_cache_mb = -1;
+  /// Snapshot byte budget in MB, in [0, 1048576].
+  std::int64_t prefix_cache_mb = 256;
   /// Frozen per-layer activation scales (core::calibrate_static_act). When
   /// set, every native-INT8 instrumented layer covered by the calibration
   /// quantizes its input with the frozen scale (no per-forward absmax pass)
@@ -259,8 +258,7 @@ class FaultInjector {
   /// Attach a TraceSink: every subsequent injection (neuron and weight)
   /// emits an InjectionEvent into it. Pass nullptr to detach. The sink is
   /// single-threaded — campaign workers each attach their own. With the
-  /// sink detached (the default) the injection path pays one branch; in a
-  /// -DPFI_TRACE=OFF build the emission code is compiled out entirely.
+  /// sink detached (the default) the injection path pays one branch.
   void set_trace_sink(trace::TraceSink* sink) { sink_ = sink; }
   trace::TraceSink* trace_sink() const { return sink_; }
 
@@ -276,12 +274,12 @@ class FaultInjector {
   const std::string& layer_path(std::int64_t i) const;
 
   /// Emit the kNeuron event of one injection into the attached sink (no-op
-  /// without one, and compiled out in a -DPFI_TRACE=OFF build): the value
-  /// at (batch, c, h, w) = `coords`, flat index `flat`, went from `pre` to
-  /// `post` under error model `model_name`, with the flipped bit attributed
-  /// in the layer's own representation under `qparams`. The hook records
-  /// every injection it performs through this; the stratified sampler's
-  /// pruner records the injections it proves masked and never executes.
+  /// without one): the value at (batch, c, h, w) = `coords`, flat index
+  /// `flat`, went from `pre` to `post` under error model `model_name`, with
+  /// the flipped bit attributed in the layer's own representation under
+  /// `qparams`. The hook records every injection it performs through this;
+  /// the stratified sampler's pruner records the injections it proves
+  /// masked and never executes.
   void record_neuron_event(std::int64_t layer, const std::int64_t (&coords)[4],
                            std::int64_t flat, float pre, float post,
                            const std::string& model_name,

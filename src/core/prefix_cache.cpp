@@ -1,10 +1,8 @@
 #include "core/prefix_cache.hpp"
 
-#include <cstdlib>
 #include <sstream>
 
 #include "util/error.hpp"
-#include "util/parse.hpp"
 
 namespace pfi::core {
 
@@ -304,28 +302,6 @@ void PrefixCache::disarm() {
   reuse_cursor_ = 0;
   mutate_index_ = kNoEvent;
   mutator_ = nullptr;
-}
-
-std::size_t prefix_cache_default_budget() {
-  const char* env = std::getenv("PFI_PREFIX_CACHE_MB");
-  if (env == nullptr || *env == '\0') {
-    return 256u * 1024u * 1024u;
-  }
-  const auto mb = util::parse_int(env, 0, 1u << 20);
-  PFI_CHECK(mb.has_value())
-      << "PFI_PREFIX_CACHE_MB must be an integer number of megabytes in "
-         "[0, 1048576], got '"
-      << env << "'";
-  return static_cast<std::size_t>(*mb) * 1024u * 1024u;
-}
-
-bool prefix_cache_env_enabled(bool fallback) {
-  const char* env = std::getenv("PFI_PREFIX_CACHE");
-  if (env == nullptr || *env == '\0') return fallback;
-  const std::string text(env);
-  PFI_CHECK(text == "0" || text == "1")
-      << "PFI_PREFIX_CACHE must be '0' or '1', got '" << text << "'";
-  return text == "1";
 }
 
 std::string prefix_cache_summary(const PrefixCacheStats& stats,

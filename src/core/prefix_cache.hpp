@@ -57,10 +57,10 @@
 // plain forward through an instrumented model pays nothing, preserving the
 // paper's "native speed when idle" property (Fig. 3).
 //
-// Memory is bounded by a byte budget (PFI_PREFIX_CACHE_MB, default 256):
-// once a record pass exceeds it, later events keep their execution-order
-// entry but drop the snapshot, truncating the reusable prefix — degrading
-// gracefully to full recompute, never failing.
+// Memory is bounded by a byte budget (FiConfig::prefix_cache_mb, default
+// 256): once a record pass exceeds it, later events keep their
+// execution-order entry but drop the snapshot, truncating the reusable
+// prefix — degrading gracefully to full recompute, never failing.
 #pragma once
 
 #include <cstdint>
@@ -233,15 +233,6 @@ class PrefixCache {
 
   PrefixCacheStats stats_;
 };
-
-/// Byte budget from the PFI_PREFIX_CACHE_MB environment variable (strictly
-/// parsed; garbage throws pfi::Error), or 256 MB when unset.
-std::size_t prefix_cache_default_budget();
-
-/// PFI_PREFIX_CACHE environment toggle: unset returns `fallback`; "1"/"0"
-/// return true/false; anything else throws pfi::Error (strict parsing —
-/// a typo must not silently run the wrong experiment).
-bool prefix_cache_env_enabled(bool fallback);
 
 /// One-line human-readable summary for bench footers and the CLI report,
 /// e.g. "3 golden records, 412/880 layer fwds reused (46.8% hit rate), ...".

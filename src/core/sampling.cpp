@@ -1,7 +1,6 @@
 #include "core/sampling.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 #include <numeric>
 #include <sstream>
@@ -440,15 +439,6 @@ std::uint64_t stratified_fingerprint(const StratifiedCampaignConfig& config,
   CampaignConfig base = config.base;
   base.error_model = single_bit_flip(-1);  // the model the sampler imposes
   return campaign_fingerprint(base, os.str());
-}
-
-bool prune_verify_env_enabled() {
-  const char* env = std::getenv("PFI_PRUNE_VERIFY");
-  if (env == nullptr || *env == '\0') return false;
-  const std::string text(env);
-  PFI_CHECK(text == "0" || text == "1")
-      << "PFI_PRUNE_VERIFY must be '0' or '1', got '" << text << "'";
-  return text == "1";
 }
 
 StratifiedResult run_stratified_campaign(FaultInjector& fi,

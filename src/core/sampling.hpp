@@ -127,10 +127,10 @@ struct StratifiedCampaignConfig {
   /// golden logits, which are its faulty logits, and its events are
   /// computed as if it ran); only the number of executed forwards differs.
   bool prune = true;
-  /// Verification mode (PFI_PRUNE_VERIFY=1): execute every pruned injection
-  /// anyway and abort unless its logits are bit-identical to the golden
-  /// ones — the pruner's soundness oracle. Counters stay identical to a
-  /// non-verify run.
+  /// Verification mode (the front ends' PFI_PRUNE_VERIFY=1): execute every
+  /// pruned injection anyway and abort unless its logits are bit-identical
+  /// to the golden ones — the pruner's soundness oracle. Counters stay
+  /// identical to a non-verify run.
   bool prune_verify = false;
 };
 
@@ -164,9 +164,5 @@ StratifiedResult run_stratified_campaign(FaultInjector& fi,
 /// checkpoint / prune_verify excluded — results are identical across them).
 std::uint64_t stratified_fingerprint(const StratifiedCampaignConfig& config,
                                      std::string_view context = "");
-
-/// Honor the PFI_PRUNE_VERIFY env toggle (strictly "0" or "1"; unset =
-/// default off). Throws pfi::Error on anything else.
-bool prune_verify_env_enabled();
 
 }  // namespace pfi::core

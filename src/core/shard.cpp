@@ -140,11 +140,15 @@ std::uint64_t shard_fingerprint(std::string_view kind, std::uint64_t base_fp,
   return util::fnv1a(os.str());
 }
 
+void check_shard_count(std::int64_t shards) {
+  PFI_CHECK(shards >= 1 && shards <= kMaxShards)
+      << "shards=" << shards << " must be in [1, " << kMaxShards << "]";
+}
+
 /// Preconditions shared by both shard runners (`config` is the uniform
 /// config or the stratified one's base).
 void check_shard_run(const ShardPlan& plan, const CampaignConfig& config) {
-  PFI_CHECK(plan.shards >= 1) << "shard plan: shards=" << plan.shards
-                              << " must be >= 1";
+  check_shard_count(plan.shards);
   PFI_CHECK(plan.shard_index >= 0 && plan.shard_index < plan.shards)
       << "shard plan: shard_index=" << plan.shard_index
       << " must be in [0, " << plan.shards << ")";
@@ -223,9 +227,12 @@ ShardManifest shard_manifest_from_json(const std::string& text) {
            "build reads version ", kShardManifestVersion, ")");
   }
   m.kind = r.key("kind").str();
+  if (m.kind != "classification" && m.kind != "stratified") {
+    r.fail("is '", m.kind, "', not 'classification' or 'stratified'");
+  }
   m.fingerprint = r.key("fingerprint").u64();
-  m.shards = r.key("shards").i64();
-  m.shard_index = r.key("shard_index").i64();
+  m.shards = r.key("shards").i64(1, kMaxShards);
+  m.shard_index = r.key("shard_index").i64(0, kMaxShards - 1);
   m.records = r.key("records").u64();
   m.horizon = r.key("horizon").i64();
   m.log_bytes = r.key("log_bytes").u64();
@@ -596,8 +603,6 @@ ShardMerge merge_shards(const std::vector<std::string>& manifest_paths,
     }
     merged.classification = acc;
   } else {
-    PFI_CHECK(first.kind == "stratified")
-        << "unknown shard campaign kind '" << first.kind << "'";
     for (const Loaded& l : loaded) {
       PFI_CHECK(l.m.strata.size() == first.strata.size() &&
                 l.m.stratum_caps == first.stratum_caps &&
@@ -666,7 +671,7 @@ CampaignResult run_sharded_classification(FaultInjector& fi,
                                           const std::string& dir,
                                           trace::TraceSink* sink,
                                           std::string_view context) {
-  PFI_CHECK(shards >= 1) << "shards=" << shards << " must be >= 1";
+  check_shard_count(shards);
   const std::int64_t cap = detail::campaign_attempt_cap(config);
   // Start at the fewest attempts that could reach the trial target (every
   // one at full yield) and double on exhaustion. Rounds resume from the
@@ -707,7 +712,7 @@ StratifiedResult run_sharded_stratified(FaultInjector& fi,
                                         const std::string& dir,
                                         trace::TraceSink* sink,
                                         std::string_view context) {
-  PFI_CHECK(shards >= 1) << "shards=" << shards << " must be >= 1";
+  check_shard_count(shards);
   std::vector<std::string> manifests;
   for (std::int64_t k = 0; k < shards; ++k) {
     ShardPlan plan;

@@ -62,6 +62,11 @@ class ShardHorizonExhausted : public Error {
 
 inline constexpr std::uint64_t kShardManifestVersion = 1;
 
+/// Largest shard count: pfi_cli and pfi_launch --shards, the shard runners
+/// and the in-process drivers refuse more, and the manifest reader refuses
+/// any count no writer can produce.
+inline constexpr std::int64_t kMaxShards = 4096;
+
 /// How one shard process participates in a campaign.
 struct ShardPlan {
   std::int64_t shards = 1;       ///< total shard count S

@@ -23,10 +23,8 @@
 //    auditable record of a campaign, and the replay path is the test oracle
 //    that pins the hook mechanism against recorded reality.
 //
-// Compile-time kill switch: configuring with -DPFI_TRACE=OFF defines
-// PFI_TRACE_DISABLED, which turns every TraceSink mutation into an inline
-// no-op and compiles the event-construction code out of the injector's hook
-// (kEnabled is false, the `if constexpr` around emission drops the body).
+//  * An injector with no sink attached builds no event: the injection path
+//    pays one null check.
 #pragma once
 
 #include <cstdint>
@@ -44,14 +42,6 @@ class FaultInjector;
 }  // namespace pfi::core
 
 namespace pfi::trace {
-
-/// False when the build was configured with -DPFI_TRACE=OFF; all recording
-/// compiles away to nothing in that case.
-#ifdef PFI_TRACE_DISABLED
-inline constexpr bool kEnabled = false;
-#else
-inline constexpr bool kEnabled = true;
-#endif
 
 /// What was corrupted: a neuron in a layer's output fmap, a weight (one
 /// transient offline perturbation, restored by clear()), or a persistent
@@ -112,9 +102,8 @@ class TraceSink {
     rep_ = rep;
   }
 
-  /// Record one injection. Compiles to nothing when tracing is disabled.
+  /// Record one injection.
   void record(InjectionEvent ev) {
-    if constexpr (!kEnabled) return;
     ev.attempt = attempt_;
     ev.rep = rep_;
     events_.push_back(std::move(ev));
@@ -127,15 +116,7 @@ class TraceSink {
     Tensor logits;
   };
 
-  /// Record the faulty output of the current (attempt, rep). No-op unless
-  /// capture_logits was requested (and tracing is compiled in).
-  void record_logits(const Tensor& logits) {
-    if constexpr (!kEnabled) return;
-    if (!capture_logits_) return;
-    logits_.push_back({attempt_, rep_, logits.clone()});
-  }
-
-  bool capture_logits() const { return kEnabled && capture_logits_; }
+  bool capture_logits() const { return capture_logits_; }
 
   const std::vector<InjectionEvent>& events() const { return events_; }
   const std::vector<RepLogits>& logits() const { return logits_; }
@@ -146,7 +127,6 @@ class TraceSink {
   std::vector<InjectionEvent> take_events() {
     return std::exchange(events_, {});
   }
-  std::vector<RepLogits> take_logits() { return std::exchange(logits_, {}); }
 
   /// Ordered-merge entry points used by the campaign runner.
   void append(std::vector<InjectionEvent> events) {

@@ -1,11 +1,8 @@
 #include "kernels/kernels.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
-#include <string>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -15,26 +12,6 @@
 namespace pfi::kernels {
 
 namespace {
-
-// ---------------------------------------------------------------- config ----
-
-Impl read_impl_env() {
-  const char* env = std::getenv("PFI_KERNEL");
-  if (env == nullptr || *env == '\0') return Impl::kBlocked;
-  const std::string v(env);
-  if (v == "naive") return Impl::kNaive;
-  if (v == "blocked") return Impl::kBlocked;
-  PFI_CHECK(false) << "PFI_KERNEL must be 'naive' or 'blocked', got '" << v
-                   << "'";
-  return Impl::kBlocked;
-}
-
-// Impl::kNaive or Impl::kBlocked as an int, or kUnread until set_impl()
-// runs or the first active_impl() reads PFI_KERNEL. Reading at first use
-// instead of during static initialization lets a bad value reach the
-// caller as a pfi::Error rather than terminate the program before main.
-constexpr int kUnread = -1;
-std::atomic<int> g_impl{kUnread};
 
 constexpr int kMR = block_config().mr;
 
@@ -271,19 +248,6 @@ thread_local PackedPanels tls_pack_b;
 }  // namespace
 
 // ----------------------------------------------------------- public api ----
-
-Impl active_impl() {
-  int impl = g_impl.load();
-  if (impl == kUnread) {
-    // Racing first calls read the same environment and store the same
-    // value; a set_impl() that lands first keeps its own.
-    g_impl.compare_exchange_strong(impl, static_cast<int>(read_impl_env()));
-    impl = g_impl.load();
-  }
-  return static_cast<Impl>(impl);
-}
-
-void set_impl(Impl impl) { g_impl.store(static_cast<int>(impl)); }
 
 bool simd_available() {
 #ifdef PFI_KERNELS_X86
@@ -522,19 +486,6 @@ void naive_gemm(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
     if (relu) {
       for (std::int64_t j = 0; j < n; ++j) crow[j] = relu_unit(crow[j]);
     }
-  }
-}
-
-void gemm(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
-          std::int64_t lda, bool trans_a, const float* b, std::int64_t ldb,
-          bool trans_b, float* c, std::int64_t ldc, Epilogue epilogue,
-          const float* bias) {
-  if (active_impl() == Impl::kNaive) {
-    naive_gemm(m, n, k, a, lda, trans_a, b, ldb, trans_b, c, ldc, epilogue,
-               bias);
-  } else {
-    gemm_blocked(m, n, k, a, lda, trans_a, b, ldb, trans_b, c, ldc, epilogue,
-                 bias);
   }
 }
 

@@ -36,11 +36,11 @@
 // scalar reference loop for every other geometry. Both apply one selection
 // rule, so dispatch never changes an output bit or a recorded argmax.
 //
-// Escape hatch: PFI_KERNEL=naive routes every GEMM through the retained
-// reference kernel (same IEEE semantics, no tiling) and every max pool
-// through its scalar reference loop, for bisecting numerical differences.
-// Every kernel runs on its caller's thread: campaigns parallelize across
-// independent trials (CampaignConfig::threads), not inside one GEMM.
+// Every fp32 GEMM in the library runs the blocked kernel; naive_gemm, the
+// untiled reference loop, is kept only as the test oracle and the
+// kernel_gemm bench baseline. Every kernel runs on its caller's thread:
+// campaigns parallelize across independent trials
+// (CampaignConfig::threads), not inside one GEMM.
 #pragma once
 
 #include <cstdint>
@@ -53,15 +53,6 @@ namespace pfi::kernels {
 /// Microkernel width: every packed B panel is kNR columns wide (two AVX2
 /// vectors per row, the register-pressure sweet spot for the 6x16 kernel).
 inline constexpr int kNR = 16;
-
-/// Kernel implementation selector (PFI_KERNEL=naive|blocked).
-enum class Impl { kNaive, kBlocked };
-
-/// Active implementation: the last set_impl(), else PFI_KERNEL, read on the
-/// first call (any other value than naive or blocked is a pfi::Error, thrown
-/// from that call). Safe to call from any thread.
-Impl active_impl();
-void set_impl(Impl impl);
 
 /// True when the CPU supports the AVX2+FMA microkernel (runtime dispatch).
 bool simd_available();
@@ -157,18 +148,12 @@ void gemm_blocked(std::int64_t m, std::int64_t n, std::int64_t k,
                   const float* bias = nullptr);
 
 /// Retained IEEE-faithful reference kernel (the old ikj loop minus the
-/// zero-skips): differential-test oracle and the PFI_KERNEL=naive path.
+/// zero-skips): differential-test oracle and the kernel_gemm bench baseline.
 void naive_gemm(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
                 std::int64_t lda, bool trans_a, const float* b,
                 std::int64_t ldb, bool trans_b, float* c, std::int64_t ldc,
                 Epilogue epilogue = Epilogue::kZero,
                 const float* bias = nullptr);
-
-/// Dispatching GEMM: routes to naive_gemm or gemm_blocked per active_impl().
-void gemm(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
-          std::int64_t lda, bool trans_a, const float* b, std::int64_t ldb,
-          bool trans_b, float* c, std::int64_t ldc,
-          Epilogue epilogue = Epilogue::kZero, const float* bias = nullptr);
 
 /// Geometry of a max pool over `planes` contiguous h x w input planes (an
 /// NCHW tensor has N*C of them). Windows are kernel x kernel, stepped by
@@ -189,8 +174,8 @@ struct PoolShape {
 /// and otherwise the first occurrence of its max (+-0 ties keep the first).
 /// Every window must hold an in-bounds element (2 * padding <= kernel and a
 /// non-empty output). Kernel 2 / stride 2 / padding 0 runs 8 outputs per
-/// AVX2 step when the CPU has it; other geometries, row tails and
-/// Impl::kNaive run the scalar reference. Both give identical bits.
+/// AVX2 step when the CPU has it; other geometries and row tails run the
+/// scalar reference. Both give identical bits.
 void max_pool2d(const PoolShape& shape, const float* in, float* out,
                 std::uint8_t* offset);
 

@@ -120,8 +120,7 @@ void max_pool2d(const PoolShape& s, const float* in, float* out,
   // h >= 2 keeps every window's second row inside the plane (h == 1 still
   // yields one output row, whose windows the reference clips).
   const bool simd = s.kernel == 2 && s.stride == 2 && s.padding == 0 &&
-                    s.h >= 2 && active_impl() == Impl::kBlocked &&
-                    avx2_supported();
+                    s.h >= 2 && avx2_supported();
   const std::int64_t groups = simd ? wo / 8 : 0;
   for (std::int64_t p = 0; p < s.planes; ++p) {
     const float* plane = in + p * s.h * s.w;

@@ -136,8 +136,8 @@ Tensor Conv2d::forward(const Tensor& input) {
     return forward_int8(input, h_out, w_out);
   }
   // Native fp16/bf16 is this fp32 forward over operands rounded through
-  // the 16-bit format: the weight once, when its pack is built (so it always
-  // runs the blocked kernel), the column matrix and bias on every forward.
+  // the 16-bit format: the weight once, when its pack is built, the column
+  // matrix and bias on every forward.
   // Rounding is exact, so the result equals the fp32 GEMM over pre-narrowed
   // operands and inherits the fp32 determinism guarantees.
   std::optional<kernels::Storage16> round;
@@ -152,8 +152,6 @@ Tensor Conv2d::forward(const Tensor& input) {
   Tensor col({col_rows, spatial});
   // Weight viewed per group as [cout_g, col_rows]: the GEMM's A operand.
   const Tensor w_mat = weight_.value.reshape({opts_.out_channels, col_rows});
-  const bool blocked =
-      round || kernels::active_impl() == kernels::Impl::kBlocked;
   // Fused conv->ReLU fast path: when the gate is open (no forward hook
   // needs the pre-activation, eval mode) the GEMM epilogue rectifies the
   // finished tiles and the downstream ReLU passes through — bit-identical
@@ -176,24 +174,16 @@ Tensor Conv2d::forward(const Tensor& input) {
       kernels::round16(bp, cout_g, *round, bias_r.data());
       bp = bias_r.data();
     }
-    const kernels::PackedPanels* pa = nullptr;
-    if (blocked) {
-      pa = &packs_[static_cast<std::size_t>(grp)].packed_a(
-          cout_g, col_rows, wp, col_rows, false, round);
-    }
+    const auto& pa = packs_[static_cast<std::size_t>(grp)].packed_a(
+        cout_g, col_rows, wp, col_rows, false, round);
     for (std::int64_t n = 0; n < n_batch; ++n) {
       im2col(input, n, grp, h_out, w_out, col);
       float* cp = col.data().data();
       if (round) kernels::round16(cp, col_rows * spatial, *round, cp);
       auto* op = output.data().data() +
                  (n * opts_.out_channels + grp * cout_g) * spatial;
-      if (blocked) {
-        kernels::gemm_prepacked_a(cout_g, spatial, col_rows, *pa, cp,
-                                  spatial, false, op, spatial, epilogue, bp);
-      } else {
-        kernels::naive_gemm(cout_g, spatial, col_rows, wp, col_rows, false,
-                            cp, spatial, false, op, spatial, epilogue, bp);
-      }
+      kernels::gemm_prepacked_a(cout_g, spatial, col_rows, pa, cp, spatial,
+                                false, op, spatial, epilogue, bp);
     }
   }
   return output;
@@ -299,8 +289,9 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
 
       // grad_weight += grad_out x col^T (GEMM-T: B is the transposed column
       // matrix); grad_bias += sum(grad_out).
-      kernels::gemm(cout_g, col_rows, spatial, go, spatial, false, cp, spatial,
-                    true, gwp, col_rows, kernels::Epilogue::kAccumulate);
+      kernels::gemm_blocked(cout_g, col_rows, spatial, go, spatial, false, cp,
+                            spatial, true, gwp, col_rows,
+                            kernels::Epilogue::kAccumulate);
       if (has_bias_) {
         for (std::int64_t oc = 0; oc < cout_g; ++oc) {
           const float* grow = go + oc * spatial;
@@ -312,8 +303,9 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
 
       // grad_col = W^T x grad_out, then scatter back to grad_input.
       auto* gcp = grad_col.data().data();
-      kernels::gemm(col_rows, spatial, cout_g, wp, col_rows, true, go, spatial,
-                    false, gcp, spatial, kernels::Epilogue::kZero);
+      kernels::gemm_blocked(col_rows, spatial, cout_g, wp, col_rows, true, go,
+                            spatial, false, gcp, spatial,
+                            kernels::Epilogue::kZero);
       col2im(grad_col, n, grp, h_out, w_out, grad_input);
     }
   }

@@ -61,8 +61,8 @@ Tensor Linear::forward(const Tensor& input) {
   auto* y = output.data().data();
   const float* bp = has_bias_ ? bias_.value.data().data() : nullptr;
   // Native fp16/bf16 is this fp32 forward over operands rounded through
-  // the 16-bit format: W^T once, when its pack is built (so it always runs
-  // the blocked kernel), activations and bias on every forward.
+  // the 16-bit format: W^T once, when its pack is built, activations and
+  // bias on every forward.
   std::optional<kernels::Storage16> round;
   std::vector<float> x_r, bias_r;
   if (native_ != kernels::LowPrec::kNone) {
@@ -80,14 +80,9 @@ Tensor Linear::forward(const Tensor& input) {
   // cached until the weight bits change.
   const auto epilogue =
       has_bias_ ? kernels::Epilogue::kBiasCol : kernels::Epilogue::kZero;
-  if (round || kernels::active_impl() == kernels::Impl::kBlocked) {
-    const auto& pb = packs_[0].packed_b(in_, out_, w, in_, true, round);
-    kernels::gemm_prepacked_b(n, out_, in_, x, in_, false, pb, y, out_,
-                              epilogue, bp);
-  } else {
-    kernels::naive_gemm(n, out_, in_, x, in_, false, w, in_, true, y, out_,
-                        epilogue, bp);
-  }
+  const auto& pb = packs_[0].packed_b(in_, out_, w, in_, true, round);
+  kernels::gemm_prepacked_b(n, out_, in_, x, in_, false, pb, y, out_, epilogue,
+                            bp);
   return output;
 }
 
@@ -114,10 +109,10 @@ Tensor Linear::backward(const Tensor& grad_output) {
   }
   // grad_W += g^T x, grad_x = g W. No zero-skip: a zero gradient against an
   // injected Inf/NaN weight must still propagate NaN, as hardware would.
-  kernels::gemm(out_, in_, n, g, out_, true, x, in_, false, gw, in_,
-                kernels::Epilogue::kAccumulate);
-  kernels::gemm(n, in_, out_, g, out_, false, w, in_, false, gx, in_,
-                kernels::Epilogue::kZero);
+  kernels::gemm_blocked(out_, in_, n, g, out_, true, x, in_, false, gw, in_,
+                        kernels::Epilogue::kAccumulate);
+  kernels::gemm_blocked(n, in_, out_, g, out_, false, w, in_, false, gx, in_,
+                        kernels::Epilogue::kZero);
   return grad_input;
 }
 

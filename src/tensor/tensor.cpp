@@ -204,11 +204,10 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   PFI_CHECK(k == k2) << "matmul inner dims differ: " << a.to_string() << " x "
                      << b.to_string();
   Tensor c({m, n});
-  // Routed through pfi::kernels (PFI_KERNEL selects the blocked or the
-  // naive reference path); both are IEEE-faithful — no zero-skip — so
-  // injected Inf/NaN propagate through matrix products.
-  kernels::gemm(m, n, k, a.data().data(), k, false, b.data().data(), n, false,
-                c.data().data(), n, kernels::Epilogue::kZero);
+  // The blocked kernel is IEEE-faithful — no zero-skip — so injected
+  // Inf/NaN propagate through matrix products.
+  kernels::gemm_blocked(m, n, k, a.data().data(), k, false, b.data().data(), n,
+                        false, c.data().data(), n, kernels::Epilogue::kZero);
   return c;
 }
 

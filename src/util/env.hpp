@@ -1,4 +1,7 @@
 // Strict environment-variable knobs for the bench and example front ends.
+// This is the only file under src/ that reads the environment: the library
+// takes every setting through its config structs (ctest
+// Lint.LibraryReadsNoEnvironment enforces it).
 //
 // The bench binaries take their experiment parameters from PFI_* variables
 // (PFI_TRIALS, PFI_SHARDS, PFI_BER, ...). Before this header each binary
@@ -58,6 +61,17 @@ inline double env_double(const char* name, double fallback,
       << name << " expects a finite number in [" << lo << ", " << hi
       << "], got '" << v << "'";
   return *parsed;
+}
+
+/// 0/1 env toggle; `fallback` when unset or empty. Anything but "0" or "1"
+/// throws — a typo must not silently run the wrong experiment.
+inline bool env_flag(const char* name, bool fallback) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || *v == '\0') return fallback;
+  const std::string text(v);
+  PFI_CHECK(text == "0" || text == "1")
+      << name << " must be '0' or '1', got '" << text << "'";
+  return text == "1";
 }
 
 /// String env knob; `fallback` when unset (no validation to apply).

@@ -185,7 +185,7 @@ TEST(CampaignParallel, NeuronCampaignIdenticalForOneAndFourThreads) {
         << serial.corruptions << "," << serial.non_finite
         << "} vs threads=4 {" << parallel.trials << "," << parallel.skipped
         << "," << parallel.corruptions << "," << parallel.non_finite << "}";
-    if (!per_layer || !trace::kEnabled) continue;
+    if (!per_layer) continue;
     // Every rep arms one fault per instrumented layer, so its events name
     // each layer exactly once.
     Rng rng(90);

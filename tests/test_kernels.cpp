@@ -10,13 +10,15 @@
 //     rule, on shapes that cross every panel, macro-tile and k-panel edge,
 //     so the output cannot depend on how the work was tiled — the
 //     kernel-level extension of the campaign engine's determinism guarantee.
+//     Conv2d's forward is held to the same chain, written out per output
+//     element over its (channel, kh, kw) taps.
 //
 // Also here: IEEE-faithfulness regressions for the zero-skip bug (0 * Inf
 // must produce NaN; NaN must propagate), the packed-weight-cache
 // coherence tests for Conv2d/Linear (mutation through tensor aliases — the
 // fault injector's mechanism — must never be served a stale pack), and the
-// max-pooling differential suite (AVX2 path vs scalar reference vs the
-// int64-index pooling MaxPool2d ran before it kept one-byte offsets).
+// max-pooling differential suite (AVX2 and scalar rows vs the int64-index
+// pooling MaxPool2d ran before it kept one-byte offsets).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -37,17 +39,6 @@ namespace {
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
 constexpr float kQNaN = std::numeric_limits<float>::quiet_NaN();
-
-/// Restores the kernel configuration after every test.
-class Kernels : public ::testing::Test {
- protected:
-  void TearDown() override { set_impl(Impl::kBlocked); }
-};
-using KernelsConv = Kernels;
-using KernelsLinear = Kernels;
-using KernelsCache = Kernels;
-using KernelsIeee = Kernels;
-using KernelsMaxPool = Kernels;
 
 std::vector<float> random_matrix(std::int64_t n, Rng& rng, float lo = -2.0f,
                                  float hi = 2.0f) {
@@ -119,7 +110,7 @@ void expect_within_bound(const std::vector<float>& got,
 
 // ------------------------------------------------------ differential sweep ----
 
-TEST_F(Kernels, BlockedAndNaiveMatchOracleOnShapeSweep) {
+TEST(Kernels, BlockedAndNaiveMatchOracleOnShapeSweep) {
   Rng rng(0x5eed);
   const std::int64_t dims[] = {1, 2, 3, 5, 8, 13, 31, 67};
   int case_index = 0;
@@ -157,24 +148,7 @@ TEST_F(Kernels, BlockedAndNaiveMatchOracleOnShapeSweep) {
   }
 }
 
-TEST_F(Kernels, DispatchHonorsSetImpl) {
-  Rng rng(7);
-  const std::int64_t m = 9, n = 11, k = 13;
-  const auto a = random_matrix(m * k, rng);
-  const auto b = random_matrix(k * n, rng);
-  std::vector<float> via_naive_api(m * n), via_dispatch(m * n);
-  naive_gemm(m, n, k, a.data(), k, false, b.data(), n, false,
-             via_naive_api.data(), n);
-  set_impl(Impl::kNaive);
-  gemm(m, n, k, a.data(), k, false, b.data(), n, false, via_dispatch.data(),
-       n);
-  EXPECT_EQ(std::memcmp(via_naive_api.data(), via_dispatch.data(),
-                        via_dispatch.size() * sizeof(float)),
-            0)
-      << "PFI_KERNEL=naive dispatch must be the reference kernel, bit for bit";
-}
-
-TEST_F(Kernels, ZeroDepthGemmAppliesEpilogueOnly) {
+TEST(Kernels, ZeroDepthGemmAppliesEpilogueOnly) {
   const std::int64_t m = 3, n = 4;
   const std::vector<float> bias{10.0f, 20.0f, 30.0f, 40.0f};
   std::vector<float> c(m * n, 7.0f);
@@ -192,7 +166,7 @@ TEST_F(Kernels, ZeroDepthGemmAppliesEpilogueOnly) {
 
 // --------------------------------------------------------- bit identity ----
 
-TEST_F(Kernels, BlockedEqualsPerElementFmaChain) {
+TEST(Kernels, BlockedEqualsPerElementFmaChain) {
   // The determinism rule, pinned directly: every output is the chain
   // acc = init(epilogue); acc = fma(a_ik, b_kj, acc) over ascending k, then
   // rectified for the fused-ReLU epilogues. M, N and K sit on both sides of
@@ -257,7 +231,7 @@ TEST_F(Kernels, BlockedEqualsPerElementFmaChain) {
 
 // ------------------------------------------------------- IEEE faithfulness ----
 
-TEST_F(KernelsIeee, ZeroTimesInfProducesNaNInBothKernels) {
+TEST(KernelsIeee, ZeroTimesInfProducesNaNInBothKernels) {
   // The old zero-skip dropped this term entirely and returned a finite
   // number — masking exactly the Inf an error model injected.
   const std::int64_t m = 2, n = 3, k = 4;
@@ -283,7 +257,7 @@ TEST_F(KernelsIeee, ZeroTimesInfProducesNaNInBothKernels) {
   }
 }
 
-TEST_F(KernelsIeee, NaNOperandPropagatesThroughZeroPartner) {
+TEST(KernelsIeee, NaNOperandPropagatesThroughZeroPartner) {
   const std::int64_t m = 1, n = 2, k = 3;
   std::vector<float> a{0.0f, 0.0f, 0.0f};
   std::vector<float> b(k * n, 5.0f);
@@ -301,7 +275,7 @@ TEST_F(KernelsIeee, NaNOperandPropagatesThroughZeroPartner) {
   }
 }
 
-TEST_F(KernelsIeee, MatmulPropagatesInfAgainstZeroActivation) {
+TEST(KernelsIeee, MatmulPropagatesInfAgainstZeroActivation) {
   // tensor::matmul regression: activation 0 times injected Inf weight.
   Tensor a({1, 2}, std::vector<float>{0.0f, 1.0f});
   Tensor b({2, 2}, std::vector<float>{kInf, 2.0f, 3.0f, 4.0f});
@@ -310,7 +284,7 @@ TEST_F(KernelsIeee, MatmulPropagatesInfAgainstZeroActivation) {
   EXPECT_EQ(c[1], 4.0f);
 }
 
-TEST_F(KernelsIeee, ConvZeroWeightTimesInfActivationIsNaN) {
+TEST(KernelsIeee, ConvZeroWeightTimesInfActivationIsNaN) {
   // Conv2d regression: a weight injected to exactly 0.0 (stuck-at-zero
   // model) must still multiply an Inf activation and yield NaN; the old
   // `if (wv == 0.0f) continue;` silently produced a finite output.
@@ -343,7 +317,44 @@ bool bit_equal(const Tensor& a, const Tensor& b) {
                      a.data().size() * sizeof(float)) == 0;
 }
 
-TEST_F(KernelsConv, ForwardMatchesNaiveAcrossConfigSweep) {
+/// Conv2d's forward as the determinism rule defines it, one output at a
+/// time: acc starts at the bias (or +0) and takes acc = fma(w, x, acc) over
+/// the group's (c, kh, kw) taps in ascending order, a padding tap reading
+/// x = 0 — so an Inf weight over padding yields NaN, as it does in hardware.
+Tensor conv_fma_chain(nn::Conv2d& conv, const Tensor& x) {
+  const nn::Conv2dOptions& o = conv.options();
+  const std::int64_t h = x.size(2), w = x.size(3);
+  const std::int64_t ho = conv.out_size(h), wo = conv.out_size(w);
+  const std::int64_t cin_g = o.in_channels / o.groups;
+  const std::int64_t cout_g = o.out_channels / o.groups;
+  const Tensor& wt = conv.weight().value;
+  Tensor y({x.size(0), o.out_channels, ho, wo});
+  for (std::int64_t n = 0; n < x.size(0); ++n) {
+    for (std::int64_t oc = 0; oc < o.out_channels; ++oc) {
+      const std::int64_t c0 = oc / cout_g * cin_g;
+      for (std::int64_t oh = 0; oh < ho; ++oh) {
+        for (std::int64_t ow = 0; ow < wo; ++ow) {
+          float acc = o.bias ? conv.bias().value[oc] : 0.0f;
+          for (std::int64_t c = 0; c < cin_g; ++c) {
+            for (std::int64_t kh = 0; kh < o.kernel; ++kh) {
+              for (std::int64_t kw = 0; kw < o.kernel; ++kw) {
+                const std::int64_t ih = oh * o.stride - o.padding + kh;
+                const std::int64_t iw = ow * o.stride - o.padding + kw;
+                const bool inside = ih >= 0 && ih < h && iw >= 0 && iw < w;
+                const float xv = inside ? x.at(n, c0 + c, ih, iw) : 0.0f;
+                acc = std::fma(wt.at(oc, c, kh, kw), xv, acc);
+              }
+            }
+          }
+          y.at(n, oc, oh, ow) = acc;
+        }
+      }
+    }
+  }
+  return y;
+}
+
+TEST(KernelsConv, ForwardMatchesNaiveAcrossConfigSweep) {
   struct Case {
     std::int64_t cin, cout, kernel, stride, padding, groups, h;
     bool bias;
@@ -359,6 +370,7 @@ TEST_F(KernelsConv, ForwardMatchesNaiveAcrossConfigSweep) {
       {4, 8, 5, 2, 2, 2, 11, true},   // grouped + strided + k=5
   };
   Rng rng(21);
+  int padded_nans = 0;
   for (const auto& cs : cases) {
     nn::Conv2d conv(
         nn::Conv2dOptions{.in_channels = cs.cin, .out_channels = cs.cout,
@@ -367,34 +379,53 @@ TEST_F(KernelsConv, ForwardMatchesNaiveAcrossConfigSweep) {
                           .bias = cs.bias},
         rng);
     const Tensor x = Tensor::rand({2, cs.cin, cs.h, cs.h}, rng, -1.0f, 1.0f);
-    set_impl(Impl::kNaive);
-    const Tensor y_ref = conv(x).clone();
-    set_impl(Impl::kBlocked);
-    const Tensor y_blk = conv(x).clone();
-    // The blocked kernel runs the same bias + ascending-k fma chain the
-    // reference compiles to; allow a few ULPs in case the reference was not
-    // contracted.
-    EXPECT_LE(tensor_max_diff(y_ref, y_blk),
-              1e-5f * static_cast<float>(cs.cin * cs.kernel * cs.kernel))
-        << "conv k=" << cs.kernel << " s=" << cs.stride << " p=" << cs.padding
-        << " g=" << cs.groups;
+    const auto where = ::testing::Message()
+                       << "conv k=" << cs.kernel << " s=" << cs.stride
+                       << " p=" << cs.padding << " g=" << cs.groups;
+    EXPECT_TRUE(bit_equal(conv(x), conv_fma_chain(conv, x))) << where;
+
+    // An Inf weight: every output of channel 0 whose first tap lands in
+    // the padding must be NaN, with the chain's exact bits.
+    conv.weight().value[0] = kInf;
+    conv.invalidate_weight_packs();
+    const Tensor y = conv(x);
+    EXPECT_TRUE(bit_equal(y, conv_fma_chain(conv, x))) << where << " +inf";
+    for (std::int64_t n = 0; n < y.size(0); ++n) {
+      for (std::int64_t oh = 0; oh < y.size(2); ++oh) {
+        for (std::int64_t ow = 0; ow < y.size(3); ++ow) {
+          if (oh * cs.stride >= cs.padding && ow * cs.stride >= cs.padding) {
+            continue;
+          }
+          EXPECT_TRUE(std::isnan(y.at(n, 0, oh, ow)))
+              << where << " +inf over padding at " << oh << "," << ow;
+          ++padded_nans;
+        }
+      }
+    }
   }
+  EXPECT_GT(padded_nans, 0);
 }
 
-TEST_F(KernelsLinear, ForwardAndBackwardMatchNaive) {
+TEST(KernelsLinear, ForwardAndBackwardMatchNaive) {
   Rng rng(22);
+  const std::int64_t n = 4, in = 13, out = 9;
   for (const bool bias : {true, false}) {
-    nn::Linear fc(13, 9, rng, bias);
-    const Tensor x = Tensor::rand({4, 13}, rng, -1.0f, 1.0f);
-    const Tensor g = Tensor::rand({4, 9}, rng, -1.0f, 1.0f);
+    nn::Linear fc(in, out, rng, bias);
+    const Tensor x = Tensor::rand({n, in}, rng, -1.0f, 1.0f);
+    const Tensor g = Tensor::rand({n, out}, rng, -1.0f, 1.0f);
+    const float* w = fc.weight().value.data().data();
 
-    set_impl(Impl::kNaive);
-    const Tensor y_ref = fc(x).clone();
-    fc.zero_grad();
-    const Tensor gx_ref = fc.backward(g).clone();
-    const Tensor gw_ref = fc.weight().grad.clone();
+    // The reference: the same three GEMMs through naive_gemm.
+    Tensor y_ref({n, out}), gx_ref({n, in}), gw_ref({out, in});
+    naive_gemm(n, out, in, x.data().data(), in, false, w, in, true,
+               y_ref.data().data(), out,
+               bias ? Epilogue::kBiasCol : Epilogue::kZero,
+               bias ? fc.bias().value.data().data() : nullptr);
+    naive_gemm(n, in, out, g.data().data(), out, false, w, in, false,
+               gx_ref.data().data(), in);
+    naive_gemm(out, in, n, g.data().data(), out, true, x.data().data(), in,
+               false, gw_ref.data().data(), in, Epilogue::kAccumulate);
 
-    set_impl(Impl::kBlocked);
     const Tensor y_blk = fc(x).clone();
     fc.zero_grad();
     const Tensor gx_blk = fc.backward(g).clone();
@@ -428,7 +459,7 @@ void expect_aliased_writes_seen(nn::GemmLayer& layer, const Tensor& x,
   }
 }
 
-TEST_F(KernelsCache, AliasedWeightMutationIsNeverServedStale)
+TEST(KernelsCache, AliasedWeightMutationIsNeverServedStale)
 {
   // The fault injector mutates weights through tensor aliases; the pack
   // cache must catch that via its key digest even without an explicit
@@ -458,7 +489,7 @@ TEST_F(KernelsCache, AliasedWeightMutationIsNeverServedStale)
   expect_aliased_writes_seen(conv16, x, {0, 53});
 }
 
-TEST_F(KernelsCache, InvalidateDropsThePack) {
+TEST(KernelsCache, InvalidateDropsThePack) {
   Rng rng(32);
   nn::Linear fc(6, 5, rng);
   const Tensor x = Tensor::rand({2, 6}, rng, -1.0f, 1.0f);
@@ -468,7 +499,7 @@ TEST_F(KernelsCache, InvalidateDropsThePack) {
   EXPECT_TRUE(bit_equal(y0, y1));
 }
 
-TEST_F(KernelsCache, FingerprintDetectsSingleBitFlips) {
+TEST(KernelsCache, FingerprintDetectsSingleBitFlips) {
   std::vector<float> w(64, 1.5f);
   const auto fp0 = fingerprint(w.data(), 64);
   for (const int bit : {0, 11, 22, 31}) {
@@ -485,7 +516,7 @@ TEST_F(KernelsCache, FingerprintDetectsSingleBitFlips) {
   EXPECT_EQ(fingerprint(w.data(), 64), fp0);
 }
 
-TEST_F(KernelsCache, PackDigestDetectsEverySingleBitFlip) {
+TEST(KernelsCache, PackDigestDetectsEverySingleBitFlip) {
   // Lengths on both sides of the 32-lane block edges, every element, every
   // bit: a change confined to one element must change the digest, and
   // restoring the bits must restore it.
@@ -519,7 +550,7 @@ struct IndexPool {
   std::vector<std::int64_t> argmax;
 };
 
-IndexPool index_pool(const std::vector<float>& in, const PoolShape& s) {
+IndexPool index_pool(std::span<const float> in, const PoolShape& s) {
   IndexPool r;
   for (std::int64_t p = 0; p < s.planes; ++p) {
     for (std::int64_t oh = 0; oh < s.out_h(); ++oh) {
@@ -592,10 +623,13 @@ bool same_bits(std::span<const float> a, std::span<const float> b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
-TEST_F(KernelsMaxPool, SimdScalarAndIndexOracleAgreeBitForBit) {
+TEST(KernelsMaxPool, SimdScalarAndIndexOracleAgreeBitForBit) {
   // Every geometry the zoo uses (2/2/0, googlenet's 3/1/1), the
   // PoolGeometry grid, and padded windows; output widths 1..17 so every
-  // tail length after the 8-wide groups runs; odd heights and widths.
+  // tail length after the 8-wide groups runs; odd heights and widths. The
+  // 2x2 rows run their 8-output groups on AVX2 (where the CPU has it) and
+  // their tails, like every row shorter than 8 outputs and every other
+  // geometry, on the scalar loop: the oracle checks both.
   struct Geometry {
     std::int64_t kernel, stride, padding;
   };
@@ -637,21 +671,16 @@ TEST_F(KernelsMaxPool, SimdScalarAndIndexOracleAgreeBitForBit) {
           const IndexPool ref = index_pool(in, s);
           const auto outputs = ref.out.size();
 
-          std::vector<float> out_simd(outputs), out_ref(outputs);
-          std::vector<std::uint8_t> off_simd(outputs), off_ref(outputs);
-          set_impl(Impl::kBlocked);
-          max_pool2d(s, in.data(), out_simd.data(), off_simd.data());
-          set_impl(Impl::kNaive);
-          max_pool2d(s, in.data(), out_ref.data(), off_ref.data());
-          ASSERT_TRUE(same_bits(out_simd, ref.out)) << where;
-          ASSERT_TRUE(same_bits(out_ref, ref.out)) << where;
-          ASSERT_EQ(off_simd, off_ref) << where;
+          std::vector<float> out(outputs);
+          std::vector<std::uint8_t> off(outputs);
+          max_pool2d(s, in.data(), out.data(), off.data());
+          ASSERT_TRUE(same_bits(out, ref.out)) << where;
           std::size_t i = 0;
           for (std::int64_t p = 0; p < s.planes; ++p) {
             for (std::int64_t oh = 0; oh < s.out_h(); ++oh) {
               for (std::int64_t ow = 0; ow < s.out_w(); ++ow, ++i) {
-                const std::int64_t kh = off_ref[i] / g.kernel;
-                const std::int64_t kw = off_ref[i] % g.kernel;
+                const std::int64_t kh = off[i] / g.kernel;
+                const std::int64_t kw = off[i] % g.kernel;
                 const std::int64_t flat =
                     (p * h + oh * g.stride - g.padding + kh) * w +
                     ow * g.stride - g.padding + kw;
@@ -666,13 +695,10 @@ TEST_F(KernelsMaxPool, SimdScalarAndIndexOracleAgreeBitForBit) {
           const Tensor grad =
               Tensor::rand({n, c, s.out_h(), s.out_w()}, rng, -1.0f, 1.0f);
           const auto want = index_scatter(ref, grad.data(), in.size());
-          for (const Impl impl : {Impl::kBlocked, Impl::kNaive}) {
-            set_impl(impl);
-            nn::MaxPool2d mp(g.kernel, g.stride, g.padding);
-            mp.eval();
-            ASSERT_TRUE(same_bits(mp(x).data(), ref.out)) << where;
-            ASSERT_TRUE(same_bits(mp.backward(grad).data(), want)) << where;
-          }
+          nn::MaxPool2d mp(g.kernel, g.stride, g.padding);
+          mp.eval();
+          ASSERT_TRUE(same_bits(mp(x).data(), ref.out)) << where;
+          ASSERT_TRUE(same_bits(mp.backward(grad).data(), want)) << where;
           ++cases;
         }
       }
@@ -681,11 +707,11 @@ TEST_F(KernelsMaxPool, SimdScalarAndIndexOracleAgreeBitForBit) {
   EXPECT_GT(cases, 1500);
 }
 
-TEST_F(KernelsMaxPool, ModelLogitsIdenticalUnderBothPoolingPaths) {
+TEST(KernelsMaxPool, ModelLogitsIdenticalUnderBothPoolingPaths) {
   // Every max pool of two zoo networks, on real activations. In the
-  // reference run a forward hook recomputes each pool's output under
-  // Impl::kNaive while the GEMMs stay blocked, so the logits compare the
-  // two pooling paths and nothing else.
+  // reference run a forward hook replaces each pool's output with the
+  // index_pool oracle's, so the logits compare the library's pooling paths
+  // with the oracle and nothing else.
   for (const char* name : {"alexnet", "squeezenet"}) {
     Rng rng(41);
     auto model = models::make_model(name, {}, rng);
@@ -699,22 +725,24 @@ TEST_F(KernelsMaxPool, ModelLogitsIdenticalUnderBothPoolingPaths) {
           [mp, &reference, &recomputed](nn::Module&, const Tensor& in,
                                         Tensor& out) {
             if (!reference) return;
-            set_impl(Impl::kNaive);
-            const Tensor scalar = mp->forward(in);
-            set_impl(Impl::kBlocked);
-            ASSERT_EQ(scalar.shape(), out.shape());
-            std::memcpy(out.data().data(), scalar.data().data(),
-                        out.data().size() * sizeof(float));
+            const PoolShape s{.planes = in.size(0) * in.size(1),
+                              .h = in.size(2), .w = in.size(3),
+                              .kernel = mp->kernel(), .stride = mp->stride(),
+                              .padding = mp->padding()};
+            const IndexPool ref = index_pool(in.data(), s);
+            ASSERT_EQ(ref.out.size(), out.data().size());
+            std::memcpy(out.data().data(), ref.out.data(),
+                        ref.out.size() * sizeof(float));
             ++recomputed;
           });
     }
     for (const std::int64_t batch : {1, 8}) {
       const Tensor x = Tensor::rand({batch, 3, 32, 32}, rng, -1.0f, 1.0f);
       reference = false;
-      const Tensor simd = (*model)(x).clone();
+      const Tensor pooled = (*model)(x).clone();
       reference = true;
-      const Tensor scalar = (*model)(x).clone();
-      EXPECT_TRUE(bit_equal(simd, scalar)) << name << " batch " << batch;
+      const Tensor oracle = (*model)(x).clone();
+      EXPECT_TRUE(bit_equal(pooled, oracle)) << name << " batch " << batch;
     }
     EXPECT_GE(recomputed, 4) << name;
   }

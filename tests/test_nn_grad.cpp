@@ -5,10 +5,11 @@
 // backward() must match central finite differences.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
+#include <vector>
 
-#include "kernels/kernels.hpp"
 #include "nn/nn.hpp"
 
 namespace pfi::nn {
@@ -150,8 +151,8 @@ TEST(Grad, LinearWide) {
 }
 
 TEST(Grad, KernelImplsAgreeOnGradients) {
-  // The analytic gradients must agree whichever kernel computes them: run
-  // the same backward under PFI_KERNEL=naive and the blocked path.
+  // The analytic gradients the blocked GEMMs compute must agree with the
+  // convolution's gradients written as direct loops (in double).
   Rng rng(35);
   Conv2d conv(
       Conv2dOptions{.in_channels = 3, .out_channels = 4, .kernel = 3,
@@ -161,22 +162,45 @@ TEST(Grad, KernelImplsAgreeOnGradients) {
   const Tensor y0 = conv(x);
   const Tensor r = Tensor::rand(y0.shape(), rng, -1.0f, 1.0f);
 
-  const auto prev = kernels::active_impl();
-  kernels::set_impl(kernels::Impl::kNaive);
   conv.zero_grad();
-  conv(x);
-  const Tensor gx_naive = conv.backward(r).clone();
-  const Tensor gw_naive = conv.weight().grad.clone();
-
-  kernels::set_impl(kernels::Impl::kBlocked);
-  conv.zero_grad();
-  conv(x);
   const Tensor gx_blocked = conv.backward(r).clone();
   const Tensor gw_blocked = conv.weight().grad.clone();
-  kernels::set_impl(prev);
 
-  EXPECT_LE(gx_naive.max_abs_diff(gx_blocked), 1e-5f);
-  EXPECT_LE(gw_naive.max_abs_diff(gw_blocked), 1e-5f);
+  // dL/dx[n,c,ih,iw] and dL/dw[o,c,kh,kw] accumulate r[n,o,oh,ow] times the
+  // weight and the input each output tap pairs (stride 1, padding 1).
+  const Tensor& w = conv.weight().value;
+  std::vector<double> gx(static_cast<std::size_t>(x.numel()), 0.0);
+  std::vector<double> gw(static_cast<std::size_t>(w.numel()), 0.0);
+  for (std::int64_t n = 0; n < 2; ++n) {
+    for (std::int64_t o = 0; o < 4; ++o) {
+      for (std::int64_t oh = 0; oh < 5; ++oh) {
+        for (std::int64_t ow = 0; ow < 5; ++ow) {
+          const double g = r.at(n, o, oh, ow);
+          for (std::int64_t c = 0; c < 3; ++c) {
+            for (std::int64_t kh = 0; kh < 3; ++kh) {
+              for (std::int64_t kw = 0; kw < 3; ++kw) {
+                const std::int64_t ih = oh - 1 + kh, iw = ow - 1 + kw;
+                if (ih < 0 || ih >= 5 || iw < 0 || iw >= 5) continue;
+                gx[static_cast<std::size_t>(((n * 3 + c) * 5 + ih) * 5 + iw)] +=
+                    g * w.at(o, c, kh, kw);
+                gw[static_cast<std::size_t>(((o * 3 + c) * 3 + kh) * 3 + kw)] +=
+                    g * x.at(n, c, ih, iw);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  const auto max_diff = [](const Tensor& t, const std::vector<double>& ref) {
+    double d = 0.0;
+    for (std::int64_t i = 0; i < t.numel(); ++i) {
+      d = std::max(d, std::abs(t[i] - ref[static_cast<std::size_t>(i)]));
+    }
+    return d;
+  };
+  EXPECT_LE(max_diff(gx_blocked, gx), 1e-5);
+  EXPECT_LE(max_diff(gw_blocked, gw), 1e-5);
 }
 
 TEST(Grad, ReLUAwayFromKink) {

@@ -240,7 +240,6 @@ const PersistGoldenCase kPersistGolden[] = {
 };
 
 TEST(PersistGolden, EveryFaultProcessMatchesItsCheckedInTrace) {
-  if constexpr (!trace::kEnabled) GTEST_SKIP() << "trace compiled out";
   ASSERT_EQ(std::size(kPersistGolden), 12u)
       << "expected 3 fault processes x {fp32, int8, fp16, bf16}";
   const bool print = std::getenv("PFI_PERSIST_PRINT_GOLDEN") != nullptr;
@@ -265,7 +264,6 @@ TEST(PersistGolden, EveryFaultProcessMatchesItsCheckedInTrace) {
 // same trace: every fault is a pure function of (seed, event index), not of
 // accumulated generator state.
 TEST(PersistGolden, AdvanceIsAPureFunctionOfSeedAndEvent) {
-  if constexpr (!trace::kEnabled) GTEST_SKIP() << "trace compiled out";
   const auto sc = scenario_by_id("ber");
   EXPECT_EQ(persist_trace(sc, DType::kFloat32),
             persist_trace(sc, DType::kFloat32));
@@ -319,7 +317,6 @@ void expect_same_fleet_result(const FleetResult& a, const FleetResult& b) {
 }
 
 TEST(PersistFleet, ByteIdenticalAcrossThreadsAndPrefixCache) {
-  if constexpr (!trace::kEnabled) GTEST_SKIP() << "trace compiled out";
   const FleetRun reference = fleet_run(1, true);
   EXPECT_GT(reference.result.total_faults, 0u);
   EXPECT_FALSE(reference.jsonl.empty());
@@ -351,7 +348,6 @@ TEST(PersistFleet, TimelineAccountsEveryEventAndFault) {
 }
 
 TEST(PersistFleet, KillAndResumeReproducesByteIdenticalTrace) {
-  if constexpr (!trace::kEnabled) GTEST_SKIP() << "trace compiled out";
   const std::string dir = "/tmp/pfi_test_persist_ckpt";
   const std::string ref_ckpt = dir + "-ref.ckpt";
   const std::string ref_trace = dir + "-ref.jsonl";
@@ -525,7 +521,6 @@ TEST(PersistNative, FaultsCorruptNativeFp16PathAndHealRestores) {
 // A recorded persistent trace re-asserts to the same corrupted weights: the
 // replayed logits match the live run's bit-for-bit.
 TEST(PersistReplay, TraceReplayReproducesCorruptedLogitsBitExactly) {
-  if constexpr (!trace::kEnabled) GTEST_SKIP() << "trace compiled out";
   Rng rng(90);
   data::SyntheticDataset ds(data::cifar10_like());
   auto net = make_model("squeezenet", {.num_classes = 10}, rng);
@@ -558,7 +553,6 @@ TEST(PersistReplay, TraceReplayReproducesCorruptedLogitsBitExactly) {
 // (each event is traced by its one assigned worker): re-asserting the
 // events with time < T reconstructs the weight state at event T.
 TEST(PersistReplay, FleetTraceReconstructsMidHorizonWeightState) {
-  if constexpr (!trace::kEnabled) GTEST_SKIP() << "trace compiled out";
   Rng rng(90);
   data::SyntheticDataset ds(data::cifar10_like());
   auto net = make_model("squeezenet", {.num_classes = 10}, rng);

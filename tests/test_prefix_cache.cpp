@@ -25,6 +25,7 @@
 #include "core/profile.hpp"
 #include "core/report.hpp"
 #include "models/zoo.hpp"
+#include "util/env.hpp"
 #include "util/fileio.hpp"
 
 namespace pfi::core {
@@ -336,6 +337,15 @@ TEST(PrefixCache, ZeroBudgetFallsBackToFullRecompute) {
   EXPECT_GE(s.fallback_passes, 1u);
   EXPECT_GE(s.budget_truncations, 1u);
   EXPECT_EQ(rig.fi->prefix_cache()->snapshot_bytes(), 0u);
+
+  // The budget comes from the config alone: 256 MB unless set, and a
+  // negative or overflowing value is refused.
+  EXPECT_EQ(Rig("squeezenet").fi->prefix_cache()->budget_bytes(),
+            std::size_t{256} << 20);
+  for (const std::int64_t bad : {std::int64_t{-1}, std::int64_t{1048577}}) {
+    cfg.prefix_cache_mb = bad;
+    EXPECT_THROW(Rig("squeezenet", cfg), Error) << bad;
+  }
 }
 
 TEST(PrefixCache, SmallBudgetTruncatesPrefixButStaysBitIdentical) {
@@ -587,28 +597,15 @@ struct ScopedEnv {
 
 TEST(PrefixEnv, ToggleParsesStrictly) {
   ScopedEnv env("PFI_PREFIX_CACHE");
-  EXPECT_TRUE(prefix_cache_env_enabled(true));
-  EXPECT_FALSE(prefix_cache_env_enabled(false));
+  EXPECT_TRUE(util::env_flag("PFI_PREFIX_CACHE", true));
+  EXPECT_FALSE(util::env_flag("PFI_PREFIX_CACHE", false));
   env.set("1");
-  EXPECT_TRUE(prefix_cache_env_enabled(false));
+  EXPECT_TRUE(util::env_flag("PFI_PREFIX_CACHE", false));
   env.set("0");
-  EXPECT_FALSE(prefix_cache_env_enabled(true));
+  EXPECT_FALSE(util::env_flag("PFI_PREFIX_CACHE", true));
   for (const char* bad : {"2", "yes", "on", " 1", "01", "true"}) {
     env.set(bad);
-    EXPECT_THROW(prefix_cache_env_enabled(true), Error) << bad;
-  }
-}
-
-TEST(PrefixEnv, BudgetParsesStrictly) {
-  ScopedEnv env("PFI_PREFIX_CACHE_MB");
-  EXPECT_EQ(prefix_cache_default_budget(), 256u * 1024u * 1024u);
-  env.set("64");
-  EXPECT_EQ(prefix_cache_default_budget(), 64u * 1024u * 1024u);
-  env.set("0");
-  EXPECT_EQ(prefix_cache_default_budget(), 0u);
-  for (const char* bad : {"-1", "abc", "64MB", "1e3", "9999999999"}) {
-    env.set(bad);
-    EXPECT_THROW(prefix_cache_default_budget(), Error) << bad;
+    EXPECT_THROW(util::env_flag("PFI_PREFIX_CACHE", true), Error) << bad;
   }
 }
 

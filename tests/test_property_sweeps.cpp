@@ -248,7 +248,6 @@ std::unique_ptr<TracedRun> traced_campaign(const ReplaySweepCase& c,
 class TraceReplaySweep : public ::testing::TestWithParam<ReplaySweepCase> {};
 
 TEST_P(TraceReplaySweep, JsonlThreadInvariantAndReplayBitExact) {
-  if constexpr (!trace::kEnabled) GTEST_SKIP() << "trace compiled out";
   const auto c = GetParam();
   auto serial = traced_campaign(c, 1);
   auto parallel = traced_campaign(c, 4);

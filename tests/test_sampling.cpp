@@ -36,6 +36,7 @@
 #include "core/sampling.hpp"
 #include "models/trainer.hpp"
 #include "nn/nn.hpp"
+#include "util/env.hpp"
 #include "util/fileio.hpp"
 
 namespace pfi::core {
@@ -416,11 +417,9 @@ TEST(Sampling, ThreadCountInvariantCsvAndTrace) {
     EXPECT_EQ(a.strata[s].attempts, b.strata[s].attempts) << "stratum " << s;
   }
   EXPECT_EQ(csv_bytes(a, "t1"), csv_bytes(b, "t4"));
-  if constexpr (trace::kEnabled) {
-    ASSERT_FALSE(sink1.events().empty());
-    EXPECT_EQ(trace::trace_to_jsonl(sink1.events()),
-              trace::trace_to_jsonl(sink4.events()));
-  }
+  ASSERT_FALSE(sink1.events().empty());
+  EXPECT_EQ(trace::trace_to_jsonl(sink1.events()),
+            trace::trace_to_jsonl(sink4.events()));
 }
 
 TEST(Sampling, PrefixCacheDoesNotChangeResults) {
@@ -435,10 +434,8 @@ TEST(Sampling, PrefixCacheDoesNotChangeResults) {
   const StratifiedResult b = run_tiny(fi_off, 33, 1, &sink_off);
   EXPECT_TRUE(same_bits(a.totals, b.totals));
   EXPECT_EQ(csv_bytes(a, "cache_on"), csv_bytes(b, "cache_off"));
-  if constexpr (trace::kEnabled) {
-    EXPECT_EQ(trace::trace_to_jsonl(sink_on.events()),
-              trace::trace_to_jsonl(sink_off.events()));
-  }
+  EXPECT_EQ(trace::trace_to_jsonl(sink_on.events()),
+            trace::trace_to_jsonl(sink_off.events()));
 }
 
 void kill_and_resume_case(std::int64_t threads,
@@ -529,15 +526,13 @@ TEST(Sampling, NativeInt8ThreadCountInvariantCsvAndTrace) {
   EXPECT_EQ(a.pruned, b.pruned);
   EXPECT_EQ(a.faulty_passes, b.faulty_passes);
   EXPECT_EQ(csv_bytes(a, "ni8_t1"), csv_bytes(b, "ni8_t4"));
-  if constexpr (trace::kEnabled) {
-    ASSERT_FALSE(sink1.events().empty());
-    // Events must record the deployed representation, not fp32.
-    for (const auto& ev : sink1.events()) {
-      EXPECT_EQ(ev.dtype, DType::kInt8);
-    }
-    EXPECT_EQ(trace::trace_to_jsonl(sink1.events()),
-              trace::trace_to_jsonl(sink4.events()));
+  ASSERT_FALSE(sink1.events().empty());
+  // Events must record the deployed representation, not fp32.
+  for (const auto& ev : sink1.events()) {
+    EXPECT_EQ(ev.dtype, DType::kInt8);
   }
+  EXPECT_EQ(trace::trace_to_jsonl(sink1.events()),
+            trace::trace_to_jsonl(sink4.events()));
 }
 
 TEST(Sampling, NativeInt8PrefixCacheDoesNotChangeResults) {
@@ -552,10 +547,8 @@ TEST(Sampling, NativeInt8PrefixCacheDoesNotChangeResults) {
   const StratifiedResult b = run_tiny(fi_off, 63, 1, &sink_off);
   EXPECT_TRUE(same_bits(a.totals, b.totals));
   EXPECT_EQ(csv_bytes(a, "ni8_cache_on"), csv_bytes(b, "ni8_cache_off"));
-  if constexpr (trace::kEnabled) {
-    EXPECT_EQ(trace::trace_to_jsonl(sink_on.events()),
-              trace::trace_to_jsonl(sink_off.events()));
-  }
+  EXPECT_EQ(trace::trace_to_jsonl(sink_on.events()),
+            trace::trace_to_jsonl(sink_off.events()));
 }
 
 TEST(Sampling, NativeKillAndResumeByteIdenticalSerial) {
@@ -607,24 +600,22 @@ TEST(Sampling, PruningIsPureExecutionKnob) {
     EXPECT_EQ(pa.lo, pb.lo);
     EXPECT_EQ(pa.hi, pb.hi);
     EXPECT_EQ(csv_bytes(a, "prune_on"), csv_bytes(b, "prune_off"));
-    if constexpr (trace::kEnabled) {
-      // Pruned injections compute their trace events analytically; the
-      // stream must be byte-identical to real execution.
-      ASSERT_FALSE(sink_on.events().empty());
-      EXPECT_EQ(trace::trace_to_jsonl(sink_on.events()),
-                trace::trace_to_jsonl(sink_off.events()));
-      // A pruned rep's logits record carries the golden logits, which must
-      // be exactly what executing it produced.
-      const auto& lon = sink_on.logits();
-      const auto& loff = sink_off.logits();
-      ASSERT_FALSE(lon.empty());
-      ASSERT_EQ(lon.size(), loff.size());
-      for (std::size_t i = 0; i < lon.size(); ++i) {
-        EXPECT_EQ(lon[i].attempt, loff[i].attempt) << "logits record " << i;
-        EXPECT_EQ(lon[i].rep, loff[i].rep) << "logits record " << i;
-        EXPECT_TRUE(same_bits(lon[i].logits, loff[i].logits))
-            << "logits record " << i;
-      }
+    // Pruned injections compute their trace events analytically; the
+    // stream must be byte-identical to real execution.
+    ASSERT_FALSE(sink_on.events().empty());
+    EXPECT_EQ(trace::trace_to_jsonl(sink_on.events()),
+              trace::trace_to_jsonl(sink_off.events()));
+    // A pruned rep's logits record carries the golden logits, which must
+    // be exactly what executing it produced.
+    const auto& lon = sink_on.logits();
+    const auto& loff = sink_off.logits();
+    ASSERT_FALSE(lon.empty());
+    ASSERT_EQ(lon.size(), loff.size());
+    for (std::size_t i = 0; i < lon.size(); ++i) {
+      EXPECT_EQ(lon[i].attempt, loff[i].attempt) << "logits record " << i;
+      EXPECT_EQ(lon[i].rep, loff[i].rep) << "logits record " << i;
+      EXPECT_TRUE(same_bits(lon[i].logits, loff[i].logits))
+          << "logits record " << i;
     }
   }
 }
@@ -657,15 +648,16 @@ TEST(Sampling, PruneVerifySoundAcrossDtypes) {
 }
 
 TEST(Sampling, PruneVerifyEnvStrictParse) {
-  // Helper is env-driven; exercise the strict tri-state contract.
+  // The front ends read PFI_PRUNE_VERIFY through util::env_flag; exercise
+  // its strict tri-state contract.
   ASSERT_EQ(setenv("PFI_PRUNE_VERIFY", "1", 1), 0);
-  EXPECT_TRUE(prune_verify_env_enabled());
+  EXPECT_TRUE(util::env_flag("PFI_PRUNE_VERIFY", false));
   ASSERT_EQ(setenv("PFI_PRUNE_VERIFY", "0", 1), 0);
-  EXPECT_FALSE(prune_verify_env_enabled());
+  EXPECT_FALSE(util::env_flag("PFI_PRUNE_VERIFY", false));
   ASSERT_EQ(setenv("PFI_PRUNE_VERIFY", "yes", 1), 0);
-  EXPECT_THROW(prune_verify_env_enabled(), Error);
+  EXPECT_THROW(util::env_flag("PFI_PRUNE_VERIFY", false), Error);
   ASSERT_EQ(unsetenv("PFI_PRUNE_VERIFY"), 0);
-  EXPECT_FALSE(prune_verify_env_enabled());
+  EXPECT_FALSE(util::env_flag("PFI_PRUNE_VERIFY", false));
 }
 
 // ------------------------------------------- adaptive early stopping ----

@@ -338,6 +338,13 @@ TEST(ShardManifestTest, RejectsMalformedJson) {
   EXPECT_THROW(
       shard_manifest_from_json(edit("\"records\":0", "\"records\":00")),
       Error);
+  // A kind no writer produces is refused by the reader, naming the field.
+  expect_refusal(
+      [&] {
+        shard_manifest_from_json(
+            edit("\"kind\":\"stratified\"", "\"kind\":\"bogus\""));
+      },
+      "'kind' is 'bogus'");
 }
 
 /// A valid uniform manifest whose `key` value is replaced verbatim.
@@ -366,6 +373,18 @@ TEST(ShardManifestTest, RejectsOverflowingNumbersNamingTheField) {
             manifest_with("shards", "18446744073709551617"));
       },
       "'shards' overflows");
+  // A shard count or index no writer can produce (kMaxShards bounds them
+  // all) is refused before the merge sizes anything from it.
+  for (const char* bad : {"-1", "0", "4097", "9000000000000000000"}) {
+    expect_refusal(
+        [&] { shard_manifest_from_json(manifest_with("shards", bad)); },
+        "'shards' overflows [1, 4096]");
+  }
+  for (const char* bad : {"-1", "4096"}) {
+    expect_refusal(
+        [&] { shard_manifest_from_json(manifest_with("shard_index", bad)); },
+        "'shard_index' overflows [0, 4095]");
+  }
   expect_refusal(
       [] {
         shard_manifest_from_json(
@@ -1015,6 +1034,10 @@ TEST(ShardRun, RefusesInvalidPlan) {
   EXPECT_THROW(run_classification_shard(
                    fi, fx.ds, uniform_config(),
                    ShardPlan{.shards = 0, .shard_index = 0}, dir.path),
+               Error);
+  EXPECT_THROW(run_classification_shard(
+                   fi, fx.ds, uniform_config(),
+                   ShardPlan{.shards = 4097, .shard_index = 0}, dir.path),
                Error);
 }
 

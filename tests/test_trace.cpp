@@ -84,16 +84,10 @@ TEST(TraceSink, RecordStampsContextAndRespectsCompileSwitch) {
   trace::InjectionEvent ev;
   ev.layer = 3;
   sink.record(ev);
-  if constexpr (trace::kEnabled) {
-    ASSERT_EQ(sink.size(), 1u);
-    EXPECT_EQ(sink.events()[0].attempt, 5u);
-    EXPECT_EQ(sink.events()[0].rep, 2);
-    EXPECT_EQ(sink.events()[0].layer, 3);
-  } else {
-    // -DPFI_TRACE=OFF build: recording compiles to nothing.
-    EXPECT_EQ(sink.size(), 0u);
-    EXPECT_TRUE(sink.empty());
-  }
+  ASSERT_EQ(sink.size(), 1u);
+  EXPECT_EQ(sink.events()[0].attempt, 5u);
+  EXPECT_EQ(sink.events()[0].rep, 2);
+  EXPECT_EQ(sink.events()[0].layer, 3);
 }
 
 TEST(TraceSink, InjectorEmitsExactlyWhenTraceIsCompiledIn) {
@@ -114,14 +108,11 @@ TEST(TraceSink, InjectorEmitsExactlyWhenTraceIsCompiledIn) {
   fi.clear();
   fi.set_trace_sink(nullptr);
 
-  const std::size_t expected = trace::kEnabled ? 2u : 0u;
-  EXPECT_EQ(sink.size(), expected);
-  if constexpr (trace::kEnabled) {
-    EXPECT_EQ(sink.events()[0].kind, trace::FaultKind::kWeight);
-    EXPECT_EQ(sink.events()[1].kind, trace::FaultKind::kNeuron);
-    EXPECT_EQ(sink.events()[1].post, 3.0f);
-    EXPECT_EQ(sink.events()[1].layer_name, fi.layer_path(sink.events()[1].layer));
-  }
+  ASSERT_EQ(sink.size(), 2u);
+  EXPECT_EQ(sink.events()[0].kind, trace::FaultKind::kWeight);
+  EXPECT_EQ(sink.events()[1].kind, trace::FaultKind::kNeuron);
+  EXPECT_EQ(sink.events()[1].post, 3.0f);
+  EXPECT_EQ(sink.events()[1].layer_name, fi.layer_path(sink.events()[1].layer));
 }
 
 TEST(TraceSink, SplitRepsGroupsRunsByAttemptAndRep) {
@@ -310,7 +301,6 @@ TEST(TraceJsonl, FileRoundTripPreservesTheByteStream) {
 // observability stack — trace JSONL and campaign CSV — without corrupting
 // either format (the regression for the old delimiter-rejecting CSV writer).
 TEST(TraceJsonl, HostileModuleNameSurvivesTraceAndCsvExport) {
-  if constexpr (!trace::kEnabled) GTEST_SKIP() << "trace compiled out";
   Rng rng(21);
   auto seq = std::make_shared<nn::Sequential>();
   seq->push(std::make_shared<nn::Conv2d>(
@@ -466,7 +456,6 @@ const GoldenCase kGoldenTraces[] = {
 };
 
 TEST(TraceGolden, EveryErrorModelMatchesItsCheckedInTrace) {
-  if constexpr (!trace::kEnabled) GTEST_SKIP() << "trace compiled out";
   ASSERT_EQ(std::size(kGoldenTraces), 36u)
       << "expected 9 error models x {fp32, int8, fp16, bf16}";
   for (const auto& c : kGoldenTraces) {
@@ -496,7 +485,6 @@ std::string neuron_trace_jsonl(std::int64_t threads) {
 }
 
 TEST(TraceCampaign, NeuronJsonlByteIdenticalForOneAndFourThreads) {
-  if constexpr (!trace::kEnabled) GTEST_SKIP() << "trace compiled out";
   const std::string serial = neuron_trace_jsonl(1);
   EXPECT_FALSE(serial.empty());
   EXPECT_EQ(serial, neuron_trace_jsonl(4));
@@ -520,14 +508,12 @@ std::string weight_trace_jsonl(std::int64_t threads) {
 }
 
 TEST(TraceCampaign, WeightJsonlByteIdenticalForOneAndFourThreads) {
-  if constexpr (!trace::kEnabled) GTEST_SKIP() << "trace compiled out";
   const std::string serial = weight_trace_jsonl(1);
   EXPECT_FALSE(serial.empty());
   EXPECT_EQ(serial, weight_trace_jsonl(4));
 }
 
 TEST(TraceCampaign, EventsCarryMergedTrialOrderAndLayerPaths) {
-  if constexpr (!trace::kEnabled) GTEST_SKIP() << "trace compiled out";
   Rng rng(90);
   data::SyntheticDataset ds(data::cifar10_like());
   auto model = make_model("squeezenet", {.num_classes = 10}, rng);
@@ -556,7 +542,6 @@ TEST(TraceCampaign, EventsCarryMergedTrialOrderAndLayerPaths) {
 // ------------------------------------------------------------------ replay ----
 
 TEST(TraceReplay, NeuronCampaignLogitsReproduceBitExactly) {
-  if constexpr (!trace::kEnabled) GTEST_SKIP() << "trace compiled out";
   Rng rng(90);
   data::SyntheticDataset ds(data::cifar10_like());
   auto model = make_model("squeezenet", {.num_classes = 10}, rng);
@@ -587,7 +572,6 @@ TEST(TraceReplay, NeuronCampaignLogitsReproduceBitExactly) {
 }
 
 TEST(TraceReplay, Int8CampaignReplaysThroughDtypeEmulation) {
-  if constexpr (!trace::kEnabled) GTEST_SKIP() << "trace compiled out";
   Rng rng(90);
   data::SyntheticDataset ds(data::cifar10_like());
   auto model = make_model("squeezenet", {.num_classes = 10}, rng);
@@ -614,7 +598,6 @@ TEST(TraceReplay, Int8CampaignReplaysThroughDtypeEmulation) {
 }
 
 TEST(TraceReplay, WeightCampaignLogitsReproduceBitExactly) {
-  if constexpr (!trace::kEnabled) GTEST_SKIP() << "trace compiled out";
   Rng rng(92);
   data::SyntheticDataset ds(data::cifar10_like());
   auto model = make_model("squeezenet", {.num_classes = 10}, rng);
@@ -642,7 +625,6 @@ TEST(TraceReplay, WeightCampaignLogitsReproduceBitExactly) {
 }
 
 TEST(TraceReplay, ReplayerRejectsDtypeMismatch) {
-  if constexpr (!trace::kEnabled) GTEST_SKIP() << "trace compiled out";
   Rng rng(90);
   auto model = make_model("squeezenet", {.num_classes = 10}, rng);
   FaultInjector fi(model, trace_config(DType::kFloat32));
@@ -659,7 +641,6 @@ TEST(TraceReplay, ReplayerChecksDtypePerLayerUnderResolutionConfigs) {
   // With a per-layer resolution config, dtype is a layer property: an event
   // recorded at the GLOBAL dtype must be rejected on an overridden layer,
   // and one recorded at the layer's resolved dtype must arm cleanly.
-  if constexpr (!trace::kEnabled) GTEST_SKIP() << "trace compiled out";
   Rng rng(90);
   auto model = make_model("squeezenet", {.num_classes = 10}, rng);
   std::string path0;
@@ -692,7 +673,6 @@ TEST(TraceReplay, ReplayerChecksDtypePerLayerUnderResolutionConfigs) {
 // must produce bit-identical outputs — the trace is a complete description
 // of what the hooks did.
 TEST(TraceDifferential, PerturbationLayerReproducesRecordedHookInjections) {
-  if constexpr (!trace::kEnabled) GTEST_SKIP() << "trace compiled out";
   Rng rng(3);
   auto plain = std::make_shared<nn::Sequential>();
   auto layered = std::make_shared<nn::Sequential>();
