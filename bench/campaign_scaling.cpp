@@ -37,19 +37,21 @@
 #include "util/env.hpp"
 #include "util/thread_pool.hpp"
 
-int main() {
+// A refused setting (a malformed PFI_* value, a rejected config) exits 2
+// with its message instead of aborting, as pfi_cli does.
+int main() try {
   using namespace pfi;
   const std::int64_t trials = util::env_int("PFI_TRIALS", 200);
   const std::int64_t max_threads = util::env_int(
       "PFI_MAX_THREADS",
       static_cast<std::int64_t>(util::ThreadPool::hardware_threads()));
-  const bool tracing = util::env_int("PFI_CAMPAIGN_TRACE", 0) != 0;
-  const bool checkpointing = util::env_int("PFI_CAMPAIGN_CHECKPOINT", 0) != 0;
+  const bool tracing = util::env_flag("PFI_CAMPAIGN_TRACE", false);
+  const bool checkpointing = util::env_flag("PFI_CAMPAIGN_CHECKPOINT", false);
   const std::int64_t shards = util::env_int("PFI_SHARDS", 1);
   if (shards > 1 && checkpointing) {
-    std::printf("PFI_SHARDS conflicts with PFI_CAMPAIGN_CHECKPOINT — shard "
-                "runs manage their own checkpoints\n");
-    return 1;
+    std::fprintf(stderr, "PFI_SHARDS conflicts with PFI_CAMPAIGN_CHECKPOINT — "
+                         "shard runs manage their own checkpoints\n");
+    return 2;
   }
 
   data::SyntheticDataset ds(data::cifar10_like());
@@ -188,4 +190,7 @@ int main() {
               static_cast<unsigned long long>(reference.skipped),
               static_cast<unsigned long long>(reference.non_finite));
   return 0;
+} catch (const pfi::Error& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

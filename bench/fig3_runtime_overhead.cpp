@@ -161,7 +161,9 @@ void print_per_layer_profile(const std::string& net, int reps) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+// A refused setting (a malformed PFI_* value, a rejected config) exits 2
+// with its message instead of aborting, as pfi_cli does.
+int main(int argc, char** argv) try {
   // The 19 networks of Fig. 3.
   for (const auto& entry : models::fig3_networks()) {
     const std::string base_name =
@@ -213,4 +215,7 @@ int main(int argc, char** argv) {
 
   print_per_layer_profile("squeezenet", 50);
   return 0;
+} catch (const pfi::Error& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

@@ -67,13 +67,15 @@ bool stratified_sampler_enabled() {
 
 }  // namespace
 
-int main() {
+// A refused setting (a malformed PFI_* value, a rejected config) exits 2
+// with its message instead of aborting, as pfi_cli does.
+int main() try {
   using namespace pfi;
   const std::int64_t trials = util::env_int("PFI_TRIALS", 1200);
   const std::int64_t epochs = util::env_int("PFI_EPOCHS", 3);
   const std::int64_t threads = util::env_int("PFI_THREADS", 0);
   const std::string checkpoint_prefix = util::env_str("PFI_CHECKPOINT", "");
-  const bool resume = util::env_int("PFI_RESUME", 0) != 0;
+  const bool resume = util::env_flag("PFI_RESUME", false);
   // Strict parse: a typo in PFI_PREFIX_CACHE throws instead of silently
   // timing the wrong configuration.
   const bool prefix_cache = util::env_flag("PFI_PREFIX_CACHE", true);
@@ -226,4 +228,7 @@ int main() {
               "raise PFI_TRIALS to resolve them.\nOur miniature models also "
               "mask more than the paper's (see DESIGN.md Sec. 7).\n");
   return 0;
+} catch (const pfi::Error& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

@@ -48,7 +48,9 @@ void render_scene(const pfi::Tensor& image,
 
 }  // namespace
 
-int main() {
+// A refused setting (a malformed PFI_* value, a rejected config) exits 2
+// with its message instead of aborting, as pfi_cli does.
+int main() try {
   using namespace pfi;
   const std::int64_t num_scenes = util::env_int("PFI_SCENES", 60);
   const detect::YoloConfig cfg;
@@ -126,4 +128,7 @@ int main() {
               "scenes and\nproduce phantom objects (Fig. 5b's behaviour); "
               "small magnitudes are mostly masked.\n");
   return 0;
+} catch (const pfi::Error& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

@@ -21,7 +21,9 @@
 #include "models/zoo.hpp"
 #include "util/env.hpp"
 
-int main() {
+// A refused setting (a malformed PFI_* value, a rejected config) exits 2
+// with its message instead of aborting, as pfi_cli does.
+int main() try {
   using namespace pfi;
   const std::int64_t num_images = util::env_int("PFI_IMAGES", 25);
 
@@ -149,4 +151,7 @@ int main() {
               "miniature saturates the GAP head, so the\ncontrast washes "
               "out — an artifact of model scale, not of the method.\n");
   return 0;
+} catch (const pfi::Error& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

@@ -33,7 +33,9 @@
 #include "util/env.hpp"
 #include "util/strings.hpp"
 
-int main() {
+// A refused setting (a malformed PFI_* value, a rejected config) exits 2
+// with its message instead of aborting, as pfi_cli does.
+int main() try {
   using namespace pfi;
 
   const std::string model_name = util::env_str("PFI_MODEL", "squeezenet");
@@ -153,4 +155,7 @@ int main() {
                 sdc);
   }
   return 0;
+} catch (const pfi::Error& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

@@ -113,7 +113,9 @@ double time_per_call(Fn&& fn, double target_ms) {
 
 }  // namespace
 
-int main() {
+// A refused setting (a malformed PFI_* value, a rejected config) exits 2
+// with its message instead of aborting, as pfi_cli does.
+int main() try {
   const double target_ms = util::env_double("PFI_BENCH_REPS_MS", 300.0);
   std::printf("pfi::kernels GEMM microbenchmark (simd %s, 1 thread)\n",
               kernels::simd_available() ? "avx2+fma" : "scalar");
@@ -258,4 +260,7 @@ int main() {
   std::printf("  pack-cache hit vs blocked GEMM (weighted): %.2f%%\n",
               100.0 * lookup_total_s / blocked_total_s);
   return 0;
+} catch (const pfi::Error& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

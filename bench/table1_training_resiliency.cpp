@@ -33,13 +33,15 @@
 #include "models/zoo.hpp"
 #include "util/env.hpp"
 
-int main() {
+// A refused setting (a malformed PFI_* value, a rejected config) exits 2
+// with its message instead of aborting, as pfi_cli does.
+int main() try {
   using namespace pfi;
   const std::int64_t trials = util::env_int("PFI_TRIALS", 1500);
   const std::int64_t epochs = util::env_int("PFI_EPOCHS", 3);
   const std::int64_t threads = util::env_int("PFI_THREADS", 0);
   const std::string checkpoint_prefix = util::env_str("PFI_CHECKPOINT", "");
-  const bool resume = util::env_int("PFI_RESUME", 0) != 0;
+  const bool resume = util::env_flag("PFI_RESUME", false);
 
   data::SyntheticDataset ds(data::cifar10_like());
   const models::TrainConfig train_cfg{.epochs = epochs,
@@ -138,4 +140,7 @@ int main() {
                 "10,543 -> 7,701).\n");
   }
   return 0;
+} catch (const pfi::Error& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

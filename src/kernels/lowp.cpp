@@ -766,6 +766,9 @@ __attribute__((target("avx2,fma"))) inline __m256 grid8(__m256i acc, __m256 vs,
       _mm256_div_ps(v, vos), _MM_FROUND_CUR_DIRECTION | _MM_FROUND_NO_EXC);
   __m256 code = _mm256_min_ps(_mm256_max_ps(q, _mm256_set1_ps(-127.0f)),
                               _mm256_set1_ps(127.0f));
+  // A value that rounds to 0 from below gives -0.0; adding +0 stores +0,
+  // as the scalar path's integer code does.
+  code = _mm256_add_ps(code, _mm256_setzero_ps());
   if (relu) code = _mm256_max_ps(code, _mm256_setzero_ps());
   return _mm256_mul_ps(code, vos);
 }

@@ -166,9 +166,9 @@ void quantize_pack_b_i8_static(std::int64_t k, std::int64_t n, const float* b,
                                PackedPanelsI8& out);
 
 /// Produces the logical KxW column block [col0, col0+w) of B into `dst`
-/// with row stride `w`: dst[kk*w + c] = B(kk, col0 + c). The streaming
-/// conv path implements this with a per-tile im2col so the full KxN im2col
-/// buffer is never materialized.
+/// with row stride `w`: dst[kk*w + c] = B(kk, col0 + c). The INT8 conv
+/// forward implements this with Conv2d's one patch gather, called on each
+/// kNR-column tile, so the full KxN patch matrix is never materialized.
 using BTileFn = std::function<void(std::int64_t col0, int w, float* dst)>;
 
 /// Quantize + pack a tile-streamed logical B(KxN) with a fixed per-tensor

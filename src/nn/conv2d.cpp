@@ -1,5 +1,7 @@
 #include "nn/conv2d.hpp"
 
+#include <algorithm>
+
 #include "nn/init.hpp"
 
 namespace pfi::nn {
@@ -22,65 +24,36 @@ Conv2d::Conv2d(Conv2dOptions opts, Rng& rng) : opts_(opts) {
 }
 
 void Conv2d::im2col(const Tensor& input, std::int64_t n, std::int64_t group,
-                    std::int64_t h_out, std::int64_t w_out, Tensor& col) const {
+                    std::int64_t w_out, std::int64_t col0, std::int64_t w,
+                    float* dst) const {
   const auto k = opts_.kernel, s = opts_.stride, p = opts_.padding;
   const auto h_in = input.size(2), w_in = input.size(3);
   const auto cin_g = opts_.in_channels / opts_.groups;
-  const auto c0 = group * cin_g;
-  const auto* in = input.data().data();
-  auto* out = col.data().data();
   const auto in_plane = h_in * w_in;
-  const auto in_base = (n * input.size(1) + c0) * in_plane;
+  const float* in = input.data().data() +
+                    (n * input.size(1) + group * cin_g) * in_plane;
+  const std::int64_t oh0 = col0 / w_out, ow0 = col0 % w_out;
 
-  std::int64_t row = 0;
   for (std::int64_t c = 0; c < cin_g; ++c) {
-    const float* plane = in + in_base + c * in_plane;
+    const float* plane = in + c * in_plane;
     for (std::int64_t kh = 0; kh < k; ++kh) {
-      for (std::int64_t kw = 0; kw < k; ++kw, ++row) {
-        float* dst = out + row * (h_out * w_out);
-        for (std::int64_t oh = 0; oh < h_out; ++oh) {
+      for (std::int64_t kw = 0; kw < k; ++kw, dst += w) {
+        // Walk the output rows the block spans, from (oh0, ow0).
+        for (std::int64_t j = 0, oh = oh0, ow = ow0; j < w; ++oh, ow = 0) {
+          const std::int64_t run = std::min(w_out - ow, w - j);
           const std::int64_t ih = oh * s - p + kh;
+          float* d = dst + j;
+          j += run;
           if (ih < 0 || ih >= h_in) {
-            for (std::int64_t ow = 0; ow < w_out; ++ow) dst[oh * w_out + ow] = 0.0f;
+            std::fill_n(d, run, 0.0f);
             continue;
           }
           const float* src_row = plane + ih * w_in;
-          for (std::int64_t ow = 0; ow < w_out; ++ow) {
-            const std::int64_t iw = ow * s - p + kw;
-            dst[oh * w_out + ow] =
-                (iw >= 0 && iw < w_in) ? src_row[iw] : 0.0f;
+          for (std::int64_t t = 0; t < run; ++t) {
+            // One unsigned compare tests 0 <= iw < w_in.
+            const auto iw = static_cast<std::uint64_t>((ow + t) * s - p + kw);
+            d[t] = iw < static_cast<std::uint64_t>(w_in) ? src_row[iw] : 0.0f;
           }
-        }
-      }
-    }
-  }
-}
-
-void Conv2d::im2col_tile(const Tensor& input, std::int64_t n,
-                         std::int64_t group, std::int64_t w_out,
-                         std::int64_t col0, int w, float* dst) const {
-  const auto k = opts_.kernel, s = opts_.stride, p = opts_.padding;
-  const auto h_in = input.size(2), w_in = input.size(3);
-  const auto cin_g = opts_.in_channels / opts_.groups;
-  const auto c0 = group * cin_g;
-  const auto* in = input.data().data();
-  const auto in_plane = h_in * w_in;
-  const auto in_base = (n * input.size(1) + c0) * in_plane;
-
-  std::int64_t row = 0;
-  for (std::int64_t c = 0; c < cin_g; ++c) {
-    const float* plane = in + in_base + c * in_plane;
-    for (std::int64_t kh = 0; kh < k; ++kh) {
-      for (std::int64_t kw = 0; kw < k; ++kw, ++row) {
-        float* drow = dst + row * w;
-        for (int cc = 0; cc < w; ++cc) {
-          const std::int64_t j = col0 + cc;
-          const std::int64_t oh = j / w_out, ow = j % w_out;
-          const std::int64_t ih = oh * s - p + kh;
-          const std::int64_t iw = ow * s - p + kw;
-          drow[cc] = (ih >= 0 && ih < h_in && iw >= 0 && iw < w_in)
-                         ? plane[ih * w_in + iw]
-                         : 0.0f;
         }
       }
     }
@@ -177,8 +150,8 @@ Tensor Conv2d::forward(const Tensor& input) {
     const auto& pa = packs_[static_cast<std::size_t>(grp)].packed_a(
         cout_g, col_rows, wp, col_rows, false, round);
     for (std::int64_t n = 0; n < n_batch; ++n) {
-      im2col(input, n, grp, h_out, w_out, col);
       float* cp = col.data().data();
+      im2col(input, n, grp, w_out, 0, spatial, cp);
       if (round) kernels::round16(cp, col_rows * spatial, *round, cp);
       auto* op = output.data().data() +
                  (n * opts_.out_channels + grp * cout_g) * spatial;
@@ -226,7 +199,7 @@ Tensor Conv2d::forward_int8(const Tensor& input, std::int64_t h_out,
         cout_g, col_rows, wp, col_rows, false, scales.data() + grp * cout_g);
     for (std::int64_t n = 0; n < n_batch; ++n) {
       const kernels::BTileFn tile = [&](std::int64_t col0, int w, float* dst) {
-        im2col_tile(input, n, grp, w_out, col0, w, dst);
+        im2col(input, n, grp, w_out, col0, w, dst);
       };
       // Dynamic calibration pays one extra streaming pass for the absmax;
       // static calibration skips it entirely — that pass is the cost the
@@ -280,10 +253,10 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
 
   for (std::int64_t n = 0; n < n_batch; ++n) {
     for (std::int64_t grp = 0; grp < g; ++grp) {
-      im2col(input, n, grp, h_out, w_out, col);
+      float* cp = col.data().data();
+      im2col(input, n, grp, w_out, 0, spatial, cp);
       const auto* go = grad_output.data().data() +
                        (n * opts_.out_channels + grp * cout_g) * spatial;
-      const auto* cp = col.data().data();
       const auto* wp = w_mat.data().data() + grp * cout_g * col_rows;
       auto* gwp = gw_mat.data().data() + grp * cout_g * col_rows;
 

@@ -8,12 +8,16 @@
 //
 // Implementation: im2col + GEMM per (sample, group), routed through
 // pfi::kernels (cache-blocked, register-tiled, deterministic at any thread
-// count; see kernels/kernels.hpp). Weight, bias, the native INT8/fp16/bf16
-// mode, static activation scales, ReLU fusion and the per-group weight-pack
-// caches live in the GemmLayer base (nn/gemm_layer.hpp), shared with Linear.
-// A native fp16/bf16 weight is rounded through its 16-bit format once, when
-// the group's fp32 pack is built. Backward recomputes the column matrix
-// rather than caching it, trading FLOPs for memory.
+// count; see kernels/kernels.hpp). One patch gather, im2col, writes any
+// column range of the patch matrix: the fp32 forward and backward's weight
+// gradient gather every column into a buffer, and the INT8 forward streams
+// kNR-column tiles straight into its packed panels, so it never holds the
+// whole matrix. Weight, bias, the native INT8/fp16/bf16 mode, static
+// activation scales, ReLU fusion and the per-group weight-pack caches live
+// in the GemmLayer base (nn/gemm_layer.hpp), shared with Linear. A native
+// fp16/bf16 weight is rounded through its 16-bit format once, when the
+// group's fp32 pack is built. Backward recomputes the column matrix rather
+// than caching it, trading FLOPs for memory.
 #pragma once
 
 #include "nn/gemm_layer.hpp"
@@ -64,22 +68,18 @@ class Conv2d final : public GemmLayer {
   }
 
  private:
-  /// Expand one sample's group-slice of input into a column matrix of shape
-  /// [cin_per_group * k * k, h_out * w_out].
+  /// Write columns [col0, col0 + w) of one sample's group-slice patch
+  /// matrix to `dst` with row stride w: dst[row * w + c] = col(row, col0 + c),
+  /// where row walks (c, kh, kw) and column j is output pixel
+  /// (j / w_out, j % w_out); a padding tap reads 0. The one copy of the tap
+  /// mapping: the fp32 forward and the weight gradient take every column,
+  /// the INT8 forward one kNR-column tile at a time.
   void im2col(const Tensor& input, std::int64_t n, std::int64_t group,
-              std::int64_t h_out, std::int64_t w_out, Tensor& col) const;
+              std::int64_t w_out, std::int64_t col0, std::int64_t w,
+              float* dst) const;
   /// Scatter-add a column matrix back into one sample's group-slice.
   void col2im(const Tensor& col, std::int64_t n, std::int64_t group,
               std::int64_t h_out, std::int64_t w_out, Tensor& grad_input) const;
-
-  /// Produce the `w`-column block [col0, col0+w) of the im2col matrix into
-  /// `dst` (row stride w): dst[row*w + c] = col(row, col0+c). The INT8 path
-  /// streams these tiles straight into packed panels
-  /// (kernels::quantize_pack_b_i8_stream) so the full col_rows x spatial
-  /// buffer is never materialized.
-  void im2col_tile(const Tensor& input, std::int64_t n, std::int64_t group,
-                   std::int64_t w_out, std::int64_t col0, int w,
-                   float* dst) const;
 
   Tensor forward_int8(const Tensor& input, std::int64_t h_out,
                       std::int64_t w_out);

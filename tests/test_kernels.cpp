@@ -11,7 +11,8 @@
 //     so the output cannot depend on how the work was tiled — the
 //     kernel-level extension of the campaign engine's determinism guarantee.
 //     Conv2d's forward is held to the same chain, written out per output
-//     element over its (channel, kh, kw) taps.
+//     element over its (channel, kh, kw) taps, and its backward to the
+//     chains of its input, weight and bias gradients.
 //
 // Also here: IEEE-faithfulness regressions for the zero-skip bug (0 * Inf
 // must produce NaN; NaN must propagate), the packed-weight-cache
@@ -354,34 +355,43 @@ Tensor conv_fma_chain(nn::Conv2d& conv, const Tensor& x) {
   return y;
 }
 
+/// Conv2d geometries both conv sweeps run, each on a batch of 2.
+struct ConvCase {
+  std::int64_t cin, cout, kernel, stride, padding, groups, h;
+  bool bias;
+};
+constexpr ConvCase kConvSweep[] = {
+    {2, 3, 1, 1, 0, 1, 5, true},    // 1x1
+    {3, 4, 3, 1, 1, 1, 7, true},    // the workhorse 3x3
+    {3, 2, 3, 2, 1, 1, 9, false},   // strided
+    {4, 4, 2, 2, 0, 1, 8, true},    // even kernel, no pad
+    {2, 2, 7, 1, 3, 1, 9, true},    // k=7 (AlexNet-style front)
+    {4, 6, 3, 1, 1, 2, 6, true},    // grouped
+    {3, 3, 3, 1, 1, 3, 6, false},   // depthwise
+    {4, 8, 5, 2, 2, 2, 11, true},   // grouped + strided + k=5
+};
+
+nn::Conv2d make_conv(const ConvCase& cs, Rng& rng) {
+  return nn::Conv2d(
+      nn::Conv2dOptions{.in_channels = cs.cin, .out_channels = cs.cout,
+                        .kernel = cs.kernel, .stride = cs.stride,
+                        .padding = cs.padding, .groups = cs.groups,
+                        .bias = cs.bias},
+      rng);
+}
+
+::testing::Message conv_where(const ConvCase& cs) {
+  return ::testing::Message() << "conv k=" << cs.kernel << " s=" << cs.stride
+                              << " p=" << cs.padding << " g=" << cs.groups;
+}
+
 TEST(KernelsConv, ForwardMatchesNaiveAcrossConfigSweep) {
-  struct Case {
-    std::int64_t cin, cout, kernel, stride, padding, groups, h;
-    bool bias;
-  };
-  const Case cases[] = {
-      {2, 3, 1, 1, 0, 1, 5, true},    // 1x1
-      {3, 4, 3, 1, 1, 1, 7, true},    // the workhorse 3x3
-      {3, 2, 3, 2, 1, 1, 9, false},   // strided
-      {4, 4, 2, 2, 0, 1, 8, true},    // even kernel, no pad
-      {2, 2, 7, 1, 3, 1, 9, true},    // k=7 (AlexNet-style front)
-      {4, 6, 3, 1, 1, 2, 6, true},    // grouped
-      {3, 3, 3, 1, 1, 3, 6, false},   // depthwise
-      {4, 8, 5, 2, 2, 2, 11, true},   // grouped + strided + k=5
-  };
   Rng rng(21);
   int padded_nans = 0;
-  for (const auto& cs : cases) {
-    nn::Conv2d conv(
-        nn::Conv2dOptions{.in_channels = cs.cin, .out_channels = cs.cout,
-                          .kernel = cs.kernel, .stride = cs.stride,
-                          .padding = cs.padding, .groups = cs.groups,
-                          .bias = cs.bias},
-        rng);
+  for (const auto& cs : kConvSweep) {
+    nn::Conv2d conv = make_conv(cs, rng);
     const Tensor x = Tensor::rand({2, cs.cin, cs.h, cs.h}, rng, -1.0f, 1.0f);
-    const auto where = ::testing::Message()
-                       << "conv k=" << cs.kernel << " s=" << cs.stride
-                       << " p=" << cs.padding << " g=" << cs.groups;
+    const auto where = conv_where(cs);
     EXPECT_TRUE(bit_equal(conv(x), conv_fma_chain(conv, x))) << where;
 
     // An Inf weight: every output of channel 0 whose first tap lands in
@@ -404,6 +414,110 @@ TEST(KernelsConv, ForwardMatchesNaiveAcrossConfigSweep) {
     }
   }
   EXPECT_GT(padded_nans, 0);
+}
+
+
+/// Conv2d::backward as the determinism rule defines it:
+///  - input gradient: each patch entry is the chain acc = +0,
+///    acc = fma(w, gy, acc) over the group's output channels in ascending
+///    order; each input element starts at +0 and adds the entries that
+///    read it in patch-row (c, kh, kw) order;
+///  - weight gradient: each weight is one chain acc = fma(gy, x, acc) from
+///    +0 over the samples, then the output pixels, in ascending order, a
+///    padding tap reading x = 0;
+///  - bias gradient: a left-to-right float sum over each sample's pixels,
+///    the per-sample sums added up in sample order.
+struct ConvGrads {
+  Tensor gx, gw, gb;
+};
+ConvGrads conv_backward_chains(nn::Conv2d& conv, const Tensor& x,
+                               const Tensor& gy) {
+  const nn::Conv2dOptions& o = conv.options();
+  const std::int64_t h = x.size(2), w = x.size(3);
+  const std::int64_t ho = gy.size(2), wo = gy.size(3);
+  const std::int64_t cin_g = o.in_channels / o.groups;
+  const std::int64_t cout_g = o.out_channels / o.groups;
+  const Tensor& wt = conv.weight().value;
+  ConvGrads g{Tensor(x.shape()), Tensor(wt.shape()), Tensor({o.out_channels})};
+  const auto inside = [&](std::int64_t ih, std::int64_t iw) {
+    return ih >= 0 && ih < h && iw >= 0 && iw < w;
+  };
+  for (std::int64_t n = 0; n < x.size(0); ++n) {
+    for (std::int64_t grp = 0; grp < o.groups; ++grp) {
+      for (std::int64_t c = 0; c < cin_g; ++c) {
+        for (std::int64_t kh = 0; kh < o.kernel; ++kh) {
+          for (std::int64_t kw = 0; kw < o.kernel; ++kw) {
+            for (std::int64_t oh = 0; oh < ho; ++oh) {
+              for (std::int64_t ow = 0; ow < wo; ++ow) {
+                const std::int64_t ih = oh * o.stride - o.padding + kh;
+                const std::int64_t iw = ow * o.stride - o.padding + kw;
+                if (!inside(ih, iw)) continue;
+                float entry = 0.0f;
+                for (std::int64_t oc = grp * cout_g; oc < (grp + 1) * cout_g;
+                     ++oc) {
+                  entry = std::fma(wt.at(oc, c, kh, kw), gy.at(n, oc, oh, ow),
+                                   entry);
+                }
+                g.gx.at(n, grp * cin_g + c, ih, iw) += entry;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  for (std::int64_t oc = 0; oc < o.out_channels; ++oc) {
+    const std::int64_t c0 = oc / cout_g * cin_g;
+    for (std::int64_t c = 0; c < cin_g; ++c) {
+      for (std::int64_t kh = 0; kh < o.kernel; ++kh) {
+        for (std::int64_t kw = 0; kw < o.kernel; ++kw) {
+          float acc = 0.0f;
+          for (std::int64_t n = 0; n < x.size(0); ++n) {
+            for (std::int64_t oh = 0; oh < ho; ++oh) {
+              for (std::int64_t ow = 0; ow < wo; ++ow) {
+                const std::int64_t ih = oh * o.stride - o.padding + kh;
+                const std::int64_t iw = ow * o.stride - o.padding + kw;
+                const float xv =
+                    inside(ih, iw) ? x.at(n, c0 + c, ih, iw) : 0.0f;
+                acc = std::fma(gy.at(n, oc, oh, ow), xv, acc);
+              }
+            }
+          }
+          g.gw.at(oc, c, kh, kw) = acc;
+        }
+      }
+    }
+    float total = 0.0f;
+    for (std::int64_t n = 0; n < x.size(0); ++n) {
+      float sum = 0.0f;
+      for (std::int64_t oh = 0; oh < ho; ++oh) {
+        for (std::int64_t ow = 0; ow < wo; ++ow) sum += gy.at(n, oc, oh, ow);
+      }
+      total += sum;
+    }
+    g.gb[oc] = total;
+  }
+  return g;
+}
+
+TEST(KernelsConv, BackwardMatchesChainsAcrossConfigSweep) {
+  Rng rng(23);
+  for (const auto& cs : kConvSweep) {
+    nn::Conv2d conv = make_conv(cs, rng);
+    const Tensor x = Tensor::rand({2, cs.cin, cs.h, cs.h}, rng, -1.0f, 1.0f);
+    const Tensor gy = Tensor::rand(conv(x).shape(), rng, -1.0f, 1.0f);
+    conv.zero_grad();
+    const Tensor gx = conv.backward(gy);
+    const ConvGrads want = conv_backward_chains(conv, x, gy);
+    const auto where = conv_where(cs);
+    EXPECT_TRUE(bit_equal(gx, want.gx)) << where << " input gradient";
+    EXPECT_TRUE(bit_equal(conv.weight().grad, want.gw))
+        << where << " weight gradient";
+    if (cs.bias) {
+      EXPECT_TRUE(bit_equal(conv.bias().grad, want.gb))
+          << where << " bias gradient";
+    }
+  }
 }
 
 TEST(KernelsLinear, ForwardAndBackwardMatchNaive) {

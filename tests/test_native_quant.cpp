@@ -9,7 +9,8 @@
 //     whichever the host supports),
 //  3. the full Conv2d/Linear forward_int8 path against a from-scratch
 //     oracle that re-derives im2col, the quantizers, and the fma
-//     requantize epilogue — bit-equal, including grouped/strided convs,
+//     requantize epilogue — bit-equal, including grouped/strided convs and
+//     the static path's frozen scales, output grid and fused ReLU,
 //  4. native vs fp32 execution within the analytic quantization-error
 //     bound (the "one quantization ULP" differential), and native
 //     single-bit code flips round-tripping bit-identically through the
@@ -23,6 +24,7 @@
 #include <cstring>
 #include <initializer_list>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "core/fault_injector.hpp"
@@ -263,12 +265,23 @@ constexpr ConvCase kConvCases[] = {
     {4, 8, 5, 2, 2, 2, 11, true},   // grouped + strided + k=5
 };
 
+/// The frozen activation scales of a static INT8 conv: the input grid, the
+/// output grid, and whether the epilogue rectifies on the codes.
+struct StaticGrid {
+  float in_scale, out_scale;
+  bool relu;
+};
+
 /// From-scratch oracle of Conv2d::forward_int8: re-derives im2col, the
 /// per-output-channel weight scales, the per-(sample, group) activation
 /// scale, int64 accumulation, and the fma requantize epilogue. Everything
 /// is recomputed independently, so agreement pins the whole pipeline.
+/// With `grid`, the activation scale is the frozen input scale and each
+/// output is snapped onto the frozen output grid as code * out_scale, the
+/// code rectified first when `grid->relu`.
 Tensor conv_int8_oracle(const nn::Conv2d& conv_const, const Tensor& x,
-                        const std::vector<float>& w_scales) {
+                        const std::vector<float>& w_scales,
+                        std::optional<StaticGrid> grid = std::nullopt) {
   auto& conv = const_cast<nn::Conv2d&>(conv_const);
   const auto& o = conv.options();
   const std::int64_t n_batch = x.size(0);
@@ -305,7 +318,7 @@ Tensor conv_int8_oracle(const nn::Conv2d& conv_const, const Tensor& x,
           }
         }
       }
-      const float sa = scale_from_absmax(absmax);
+      const float sa = grid ? grid->in_scale : scale_from_absmax(absmax);
       for (std::int64_t oc_g = 0; oc_g < cout_g; ++oc_g) {
         const std::int64_t oc = grp * cout_g + oc_g;
         const float sw = w_scales[static_cast<std::size_t>(oc)];
@@ -323,8 +336,14 @@ Tensor conv_int8_oracle(const nn::Conv2d& conv_const, const Tensor& x,
                   quantize_unit(col_value(n, grp, row, oh, ow), sa);
               acc += qw * qa;
             }
-            y.at(n, oc, oh, ow) = std::fma(
-                sw * sa, static_cast<float>(acc), bias_v);
+            const float v = std::fma(sw * sa, static_cast<float>(acc), bias_v);
+            if (!grid) {
+              y.at(n, oc, oh, ow) = v;
+              continue;
+            }
+            int code = quantize_unit(v, grid->out_scale);
+            if (grid->relu && code < 0) code = 0;
+            y.at(n, oc, oh, ow) = static_cast<float>(code) * grid->out_scale;
           }
         }
       }
@@ -334,6 +353,8 @@ Tensor conv_int8_oracle(const nn::Conv2d& conv_const, const Tensor& x,
 }
 
 TEST_F(NativeConvInt8, ForwardMatchesExactOracleAcrossConfigSweep) {
+  // Each geometry runs with dynamic and with static (frozen) activation
+  // scales, each with ReLU fusion off and on; only the static path fuses.
   Rng rng(91);
   for (const auto& cs : kConvCases) {
     nn::Conv2d conv(
@@ -343,16 +364,31 @@ TEST_F(NativeConvInt8, ForwardMatchesExactOracleAcrossConfigSweep) {
                           .bias = cs.bias},
         rng);
     const Tensor x = Tensor::rand({2, cs.cin, cs.h, cs.h}, rng, -1.0f, 1.0f);
+    conv.eval();
     conv.set_native_dtype(LowPrec::kInt8);
-    const Tensor y = conv(x).clone();
-    ASSERT_EQ(conv.native_scales().size(),
-              static_cast<std::size_t>(cs.cout));
-    const Tensor ref = conv_int8_oracle(conv, x, conv.native_scales());
-    EXPECT_TRUE(bit_equal(y, ref))
-        << "native INT8 conv k=" << cs.kernel << " s=" << cs.stride
-        << " p=" << cs.padding << " g=" << cs.groups
-        << " diverged from the int64 oracle (max diff "
-        << y.max_abs_diff(ref) << ")";
+    const float in_scale =
+        scale_from_absmax(finite_absmax_i8(x.data().data(), x.numel()));
+    const float out_scale = 0.04f;
+    for (const bool static_act : {false, true}) {
+      if (static_act) conv.set_static_act(in_scale, out_scale);
+      for (const bool fuse : {false, true}) {
+        conv.set_fuse_relu(fuse);
+        ASSERT_EQ(conv.relu_fused_output(), static_act && fuse);
+        const Tensor y = conv(x).clone();
+        ASSERT_EQ(conv.native_scales().size(),
+                  static_cast<std::size_t>(cs.cout));
+        std::optional<StaticGrid> grid;
+        if (static_act) grid = StaticGrid{in_scale, out_scale, fuse};
+        const Tensor ref =
+            conv_int8_oracle(conv, x, conv.native_scales(), grid);
+        EXPECT_TRUE(bit_equal(y, ref))
+            << "native INT8 conv k=" << cs.kernel << " s=" << cs.stride
+            << " p=" << cs.padding << " g=" << cs.groups
+            << " static=" << static_act << " fuse=" << fuse
+            << " diverged from the int64 oracle (max diff "
+            << y.max_abs_diff(ref) << ")";
+      }
+    }
   }
 }
 

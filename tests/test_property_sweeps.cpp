@@ -82,10 +82,14 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvCase{3, 1, 1, 2}, ConvCase{3, 1, 1, 4},
                       ConvCase{1, 1, 0, 4}, ConvCase{7, 3, 3, 1}),
     [](const auto& info) {
-      return "k" + std::to_string(info.param.kernel) + "s" +
-             std::to_string(info.param.stride) + "p" +
-             std::to_string(info.param.padding) + "g" +
-             std::to_string(info.param.groups);
+      // Appended piecewise: "k" + std::to_string(...) trips a false GCC 12
+      // -Wrestrict warning.
+      std::string name = "k";
+      name += std::to_string(info.param.kernel) + "s";
+      name += std::to_string(info.param.stride) + "p";
+      name += std::to_string(info.param.padding) + "g";
+      name += std::to_string(info.param.groups);
+      return name;
     });
 
 // ------------------------------------------------------ pooling geometry ----
@@ -122,8 +126,11 @@ INSTANTIATE_TEST_SUITE_P(Grid, PoolGeometry,
                          ::testing::Combine(::testing::Values(2, 3, 4),
                                             ::testing::Values(1, 2, 3)),
                          [](const auto& info) {
-                           return "k" + std::to_string(std::get<0>(info.param)) +
-                                  "s" + std::to_string(std::get<1>(info.param));
+                           std::string name = "k";
+                           name += std::to_string(std::get<0>(info.param));
+                           name += "s";
+                           name += std::to_string(std::get<1>(info.param));
+                           return name;
                          });
 
 // --------------------------------------------------------- injector dtype ----

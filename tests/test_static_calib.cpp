@@ -181,14 +181,20 @@ TEST_F(StaticCalibKernels, RequantizeGridMatchesScalarOracleAcrossIsa) {
   for (auto& v : acc) {
     v = static_cast<std::int32_t>(rng.uniform(-40000.0f, 40000.0f));
   }
+  // Row 0 opens with accumulators 0, -1, ..., -15, two full AVX2 groups:
+  // without a bias they land just below zero and round to code 0, which
+  // every ISA must store as +0.
+  for (std::int32_t j = 0; j < 16; ++j) acc[static_cast<std::size_t>(j)] = -j;
   const auto row_scale = random_buffer(m, rng, 0.001f, 0.05f);
   const auto col_scale = random_buffer(n, rng, 0.001f, 0.05f);
   const auto bias_r = random_buffer(m, rng, -1.0f, 1.0f);
   const auto bias_c = random_buffer(n, rng, -1.0f, 1.0f);
   const float b_scale = 0.013f, a_scale = 0.017f, out_scale = 0.021f;
 
+  int zero_from_below = 0;
   const auto grid_oracle = [&](float v, bool relu) {
     int code = quantize_unit(v, out_scale);
+    if (v < 0.0f && code == 0) ++zero_from_below;
     if (relu && code < 0) code = 0;
     return static_cast<float>(code) * out_scale;
   };
@@ -196,34 +202,44 @@ TEST_F(StaticCalibKernels, RequantizeGridMatchesScalarOracleAcrossIsa) {
   for (const I8Isa isa : supported_i8_isas()) {
     set_i8_isa(isa);
     for (const bool relu : {false, true}) {
-      std::vector<float> rows(static_cast<std::size_t>(m * n));
-      requantize_rows_grid(m, n, acc.data(), n, row_scale.data(), b_scale,
-                           bias_r.data(), out_scale, relu, rows.data(), n);
-      std::vector<float> cols(static_cast<std::size_t>(m * n));
-      requantize_cols_grid(m, n, acc.data(), n, a_scale, col_scale.data(),
-                           bias_c.data(), out_scale, relu, cols.data(), n);
-      for (std::int64_t i = 0; i < m; ++i) {
-        for (std::int64_t j = 0; j < n; ++j) {
-          const float acc_f =
-              static_cast<float>(acc[static_cast<std::size_t>(i * n + j)]);
-          const float want_r = grid_oracle(
-              std::fma(row_scale[static_cast<std::size_t>(i)] * b_scale, acc_f,
-                       bias_r[static_cast<std::size_t>(i)]),
-              relu);
-          const float want_c = grid_oracle(
-              std::fma(a_scale * col_scale[static_cast<std::size_t>(j)], acc_f,
-                       bias_c[static_cast<std::size_t>(j)]),
-              relu);
-          ASSERT_EQ(rows[static_cast<std::size_t>(i * n + j)], want_r)
-              << "rows_grid isa=" << static_cast<int>(isa) << " relu=" << relu
-              << " at (" << i << "," << j << ")";
-          ASSERT_EQ(cols[static_cast<std::size_t>(i * n + j)], want_c)
-              << "cols_grid isa=" << static_cast<int>(isa) << " relu=" << relu
-              << " at (" << i << "," << j << ")";
+      for (const bool biased : {true, false}) {
+        std::vector<float> rows(static_cast<std::size_t>(m * n));
+        requantize_rows_grid(m, n, acc.data(), n, row_scale.data(), b_scale,
+                             biased ? bias_r.data() : nullptr, out_scale,
+                             relu, rows.data(), n);
+        std::vector<float> cols(static_cast<std::size_t>(m * n));
+        requantize_cols_grid(m, n, acc.data(), n, a_scale, col_scale.data(),
+                             biased ? bias_c.data() : nullptr, out_scale,
+                             relu, cols.data(), n);
+        for (std::int64_t i = 0; i < m; ++i) {
+          for (std::int64_t j = 0; j < n; ++j) {
+            const float acc_f =
+                static_cast<float>(acc[static_cast<std::size_t>(i * n + j)]);
+            const auto ui = static_cast<std::size_t>(i);
+            const auto uj = static_cast<std::size_t>(j);
+            const float br = biased ? bias_r[ui] : 0.0f;
+            const float bc = biased ? bias_c[uj] : 0.0f;
+            const float want_r =
+                grid_oracle(std::fma(row_scale[ui] * b_scale, acc_f, br), relu);
+            const float want_c =
+                grid_oracle(std::fma(a_scale * col_scale[uj], acc_f, bc), relu);
+            // Bit patterns, not float ==, which equates -0 with +0.
+            ASSERT_EQ(float_to_bits(rows[static_cast<std::size_t>(i * n + j)]),
+                      float_to_bits(want_r))
+                << "rows_grid isa=" << static_cast<int>(isa)
+                << " relu=" << relu << " bias=" << biased << " at (" << i
+                << "," << j << ")";
+            ASSERT_EQ(float_to_bits(cols[static_cast<std::size_t>(i * n + j)]),
+                      float_to_bits(want_c))
+                << "cols_grid isa=" << static_cast<int>(isa)
+                << " relu=" << relu << " bias=" << biased << " at (" << i
+                << "," << j << ")";
+          }
         }
       }
     }
   }
+  EXPECT_GT(zero_from_below, 0);
 }
 
 TEST_F(StaticCalibKernels, ReluEpilogueBitEqualsUnfusedGemmThenRelu) {
