@@ -9,17 +9,18 @@
 // to ~1x with a small scheduling overhead; run on a multi-core host to see
 // the speedup.
 //
-// Environment knobs: PFI_TRIALS (default 200), PFI_MAX_THREADS (default: the
-// hardware thread count),
+// Environment knobs: PFI_TRIALS (default 200), PFI_MAX_THREADS (at least 1;
+// default: the hardware thread count),
 // PFI_CAMPAIGN_TRACE=1 attaches a TraceSink to every run — the trace-on vs
 // trace-off comparison behind the EXPERIMENTS.md overhead table — and
 // additionally checks the merged JSONL is byte-identical across thread
 // counts. PFI_CAMPAIGN_CHECKPOINT=1 additionally attaches a per-wave durable
 // checkpointer (plus a streaming trace file when tracing is on), so the
 // crash-safety machinery's fsync cost shows up in the same trials/s table.
-// PFI_SHARDS=S runs every row through the sharded fabric (core/shard.hpp):
-// S in-process shards + deterministic merge, identity-checked against the
-// SAME single-thread unsharded reference — so the table shows the fabric's
+// PFI_SHARDS=S (1 to core::kMaxShards) with S > 1 runs every row through
+// the sharded fabric (core/shard.hpp): S in-process shards + deterministic
+// merge, identity-checked against the SAME single-thread unsharded
+// reference — so the table shows the fabric's
 // record/replay overhead AND proves shard-count x thread-count byte
 // identity in one run. Shard files live under campaign_scaling-shards/ and
 // are removed per row.
@@ -44,10 +45,11 @@ int main() try {
   const std::int64_t trials = util::env_int("PFI_TRIALS", 200);
   const std::int64_t max_threads = util::env_int(
       "PFI_MAX_THREADS",
-      static_cast<std::int64_t>(util::ThreadPool::hardware_threads()));
+      static_cast<std::int64_t>(util::ThreadPool::hardware_threads()), 1);
   const bool tracing = util::env_flag("PFI_CAMPAIGN_TRACE", false);
   const bool checkpointing = util::env_flag("PFI_CAMPAIGN_CHECKPOINT", false);
-  const std::int64_t shards = util::env_int("PFI_SHARDS", 1);
+  const std::int64_t shards =
+      util::env_int("PFI_SHARDS", 1, 1, core::kMaxShards);
   if (shards > 1 && checkpointing) {
     std::fprintf(stderr, "PFI_SHARDS conflicts with PFI_CAMPAIGN_CHECKPOINT — "
                          "shard runs manage their own checkpoints\n");

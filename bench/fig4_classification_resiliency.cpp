@@ -26,8 +26,9 @@
 // at PREFIX-<network>.ckpt after every campaign wave; with PFI_RESUME=1 an
 // interrupted sweep continues where it stopped, reproducing the
 // uninterrupted numbers exactly.
-// PFI_SHARDS=S splits each network's campaign across S shards (in-process,
-// shard files under PFI_SHARD_DIR, default fig4-shards) and merges — the
+// PFI_SHARDS=S (1 to core::kMaxShards) splits each network's campaign
+// across S shards (in-process, shard files under PFI_SHARD_DIR, default
+// fig4-shards) and merges — the
 // reported numbers are byte-identical to the unsharded sweep (see
 // core/shard.hpp). Mutually exclusive with PFI_CHECKPOINT (shards keep
 // their own checkpoints) and with a PFI_CI_TARGET stratified run (CI-target
@@ -81,7 +82,8 @@ int main() try {
   const bool prefix_cache = util::env_flag("PFI_PREFIX_CACHE", true);
   const bool stratified = stratified_sampler_enabled();
   const double ci_target = util::env_double("PFI_CI_TARGET", 0.0);
-  const std::int64_t shards = util::env_int("PFI_SHARDS", 1);
+  const std::int64_t shards =
+      util::env_int("PFI_SHARDS", 1, 1, core::kMaxShards);
   std::string shard_dir = util::env_str("PFI_SHARD_DIR", "");
   if (shard_dir.empty()) shard_dir = "fig4-shards";
   std::string dtype_text = util::env_str("PFI_DTYPE", "");

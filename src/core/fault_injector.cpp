@@ -777,15 +777,18 @@ void FaultInjector::hook_body(std::int64_t layer_index, const Tensor& input,
     case DType::kFloat32:
       break;
     case DType::kFloat16:
-      // Software narrowing (not a _Float16 cast) so NaN payloads survive
-      // the grid projection and single-bit attribution holds on non-finite
+    case DType::kBFloat16: {
+      // The native 16-bit operands' rounding (kernels::round16): software
+      // narrowing (not a _Float16 cast) so NaN payloads survive the grid
+      // projection and single-bit attribution holds on non-finite
       // activations. Bit-identical to the hardware cast for all finite v.
-      output.apply_(
-          [](float v) { return float_from_f16_bits(f16_bits_from_float(v)); });
+      const auto data = output.data();
+      kernels::round16(data.data(), static_cast<std::int64_t>(data.size()),
+                       dt == DType::kFloat16 ? kernels::Storage16::kFp16
+                                             : kernels::Storage16::kBf16,
+                       data.data());
       break;
-    case DType::kBFloat16:
-      output.apply_([](float v) { return round_to_bf16(v); });
-      break;
+    }
     case DType::kInt8:
       if (is_static) {
         // The layer's epilogue already re-quantized onto the frozen output

@@ -327,9 +327,12 @@ float finite_absmax(std::int64_t rows, std::int64_t cols, const float* p,
 //  * the clamp runs max-then-min in the scalar's operand order — MAXPS/
 //    MINPS return the SECOND source when the first is NaN, so a NaN
 //    quotient lands on -127 exactly like std::max(-127.0f, NaN);
-//  * vcvtps2dq is exact on the clamped integral values.
+//  * vcvtps2dq is exact on the clamped integral values, and vcvtdq2ps
+//    back is exact too, so fake_quantize_row's vmulps is dequantize_unit's
+//    multiply.
 // So scalar and AVX2 packs hold the same codes, and the kScalar /
-// kMadd / kVnni campaign byte-identity carries over to the quantize path.
+// kMadd / kVnni campaign byte-identity carries over to the quantize path
+// and to the emulated INT8 round trip.
 
 #ifdef PFI_KERNELS_X86
 
@@ -361,6 +364,20 @@ __attribute__((target("avx2"))) void quantize_row_i16_avx2(
                         quantize16_i16(src + i, vscale));
   }
   for (; i < n; ++i) dst[i] = quantize_unit(src[i], scale);
+}
+
+/// In-place INT8 round trip: the code of quantize8_i32, converted back to
+/// float (exact) and multiplied by the scale, as dequantize_unit does.
+__attribute__((target("avx2"))) void fake_quantize_row_avx2(float* p,
+                                                            std::int64_t n,
+                                                            float scale) {
+  const __m256 vscale = _mm256_set1_ps(scale);
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256i code = quantize8_i32(_mm256_loadu_ps(p + i), vscale);
+    _mm256_storeu_ps(p + i, _mm256_mul_ps(_mm256_cvtepi32_ps(code), vscale));
+  }
+  for (; i < n; ++i) p[i] = dequantize_unit(quantize_unit(p[i], scale), scale);
 }
 
 __attribute__((target("avx2"))) float finite_absmax_avx2(const float* p,
@@ -646,6 +663,18 @@ void quantize_row_i16(const float* src, std::int64_t n, float scale,
   }
 #endif
   for (std::int64_t i = 0; i < n; ++i) dst[i] = quantize_unit(src[i], scale);
+}
+
+void fake_quantize_row(float* p, std::int64_t n, float scale) {
+#ifdef PFI_KERNELS_X86
+  if (simd_quant_enabled()) {
+    fake_quantize_row_avx2(p, n, scale);
+    return;
+  }
+#endif
+  for (std::int64_t i = 0; i < n; ++i) {
+    p[i] = dequantize_unit(quantize_unit(p[i], scale), scale);
+  }
 }
 
 float finite_absmax_i8(const float* p, std::int64_t n) {

@@ -29,6 +29,10 @@
 // exactly the code the packed operand would hold. Non-finite activations
 // saturate deterministically (+-Inf -> +-127, NaN -> -127) instead of
 // aborting, because upstream fp32-layer faults can and do produce them.
+// The injector's emulated INT8 projection (quant::calibrate and
+// quant::fake_quantize_ after every emulated layer) runs on the same
+// finite_absmax_i8 and fake_quantize_row, so I8Isa also selects the path of
+// the emulated projection; every path yields the same bits.
 //
 // fp16/bf16 storage
 // -----------------
@@ -88,6 +92,21 @@ inline std::int8_t quantize_unit(float v, float scale) {
   const float clamped = std::min(127.0f, std::max(-127.0f, q));
   return static_cast<std::int8_t>(clamped);
 }
+
+/// The code's exact fp32 image. quant::dequantize_value delegates here, as
+/// quant::quantize_value does to quantize_unit.
+inline float dequantize_unit(std::int8_t code, float scale) {
+  return static_cast<float>(code) * scale;
+}
+
+/// Round-trip n contiguous floats through the INT8 grid in place:
+/// p[i] = dequantize_unit(quantize_unit(p[i], scale), scale) — the
+/// emulated INT8 layer's output projection. AVX2-vectorized when the active
+/// INT8 ISA is not kScalar: the vector body is quantize_row_i16's quantizer
+/// followed by the same int-to-float conversion and multiply, so every
+/// element equals the scalar round trip bit for bit (and a zero code stores
+/// +0, as the integer does). `scale` must be positive.
+void fake_quantize_row(float* p, std::int64_t n, float scale);
 
 /// Quantize a contiguous row of n floats onto the symmetric INT8 grid,
 /// widened to the i16 the packed panels hold: dst[i] = quantize_unit(src[i],

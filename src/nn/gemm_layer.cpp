@@ -19,9 +19,8 @@ void GemmLayer::init_parameters(const Shape& weight_shape, bool bias,
 }
 
 std::vector<Parameter*> GemmLayer::local_parameters() {
-  std::vector<Parameter*> out{&weight_};
-  if (has_bias_) out.push_back(&bias_);
-  return out;
+  if (has_bias_) return {&weight_, &bias_};
+  return {&weight_};
 }
 
 void GemmLayer::set_native_dtype(kernels::LowPrec native,

@@ -10,9 +10,9 @@ namespace pfi::quant {
 
 QuantParams calibrate(const Tensor& t) {
   PFI_CHECK(t.defined() && t.numel() > 0) << "calibrate on empty tensor";
-  float absmax = 0.0f;
-  for (const float v : t.data()) absmax = std::max(absmax, std::abs(v));
-  return calibrate_absmax(absmax);
+  const auto data = t.data();
+  return calibrate_absmax(kernels::finite_absmax_i8(
+      data.data(), static_cast<std::int64_t>(data.size())));
 }
 
 QuantParams calibrate_absmax(float absmax) {
@@ -63,7 +63,7 @@ std::int8_t quantize_value(float v, const QuantParams& qp) {
 }
 
 float dequantize_value(std::int8_t q, const QuantParams& qp) {
-  return static_cast<float>(q) * qp.scale;
+  return kernels::dequantize_unit(q, qp.scale);
 }
 
 float fake_quantize_value(float v, const QuantParams& qp) {
@@ -71,7 +71,10 @@ float fake_quantize_value(float v, const QuantParams& qp) {
 }
 
 void fake_quantize_(Tensor& t, const QuantParams& qp) {
-  for (auto& v : t.data()) v = fake_quantize_value(v, qp);
+  PFI_CHECK(qp.scale > 0.0f) << "quantize with scale " << qp.scale;
+  const auto data = t.data();
+  kernels::fake_quantize_row(data.data(), static_cast<std::int64_t>(data.size()),
+                             qp.scale);
 }
 
 float flip_bit_int8(float v, int bit, const QuantParams& qp) {

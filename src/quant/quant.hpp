@@ -24,7 +24,11 @@ struct QuantParams {
   float max_representable() const { return scale * 127.0f; }
 };
 
-/// Calibrate from the maximum absolute value of a tensor.
+/// Calibrate from the maximum absolute FINITE value of a tensor (the
+/// native path's kernels::finite_absmax_i8): NaN and +-Inf contribute
+/// nothing, and fake_quantize_ then saturates them (+-Inf -> +-127 codes,
+/// NaN -> -127), because upstream faults can and do produce them. A tensor
+/// with no finite nonzero value gets the 1/127 fallback scale.
 QuantParams calibrate(const Tensor& t);
 
 /// Calibrate from a known absolute bound.
@@ -50,7 +54,8 @@ float dequantize_value(std::int8_t q, const QuantParams& qp);
 /// INT8 accelerator would exhibit).
 float fake_quantize_value(float v, const QuantParams& qp);
 
-/// Round-trip an entire tensor through INT8 in place.
+/// Round-trip an entire tensor through INT8 in place
+/// (kernels::fake_quantize_row): every element equals fake_quantize_value.
 void fake_quantize_(Tensor& t, const QuantParams& qp);
 
 /// Flip bit `bit` (0..7, 7 = sign) of v's INT8 representation and return the

@@ -149,11 +149,6 @@ inline float float_from_bf16_bits(std::uint16_t h) {
   return bits_to_float(static_cast<std::uint32_t>(h) << 16);
 }
 
-/// Round a float to the nearest bfloat16 value (kept as float).
-inline float round_to_bf16(float v) {
-  return float_from_bf16_bits(bf16_bits_from_float(v));
-}
-
 /// Flip bit `bit` (0 = LSB of mantissa, 15 = sign) of a value treated as
 /// IEEE-754 binary16; returns the corrupted value widened back to float.
 /// Software conversions keep the flipped bit the ONLY differing bit even

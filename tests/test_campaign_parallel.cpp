@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -207,6 +208,39 @@ TEST(CampaignParallel, NeuronCampaignIdenticalForOneAndFourThreads) {
 
 TEST(CampaignParallel, NeuronCampaignStableRunToRun) {
   EXPECT_TRUE(same_result(run_neuron(4), run_neuron(4)));
+}
+
+// An Inf written into an emulated INT8 layer's output reaches the next
+// layer's calibration. The finite-only absmax keeps the campaign running
+// (the scale comes from the finite values, the Inf saturates to code 127),
+// and the saturated codes are the same at any thread count.
+TEST(CampaignParallel, EmulatedInt8InfCampaignIdenticalForOneAndFourThreads) {
+  auto run = [](std::int64_t threads, trace::TraceSink& sink) {
+    Rng rng(90);
+    data::SyntheticDataset ds(campaign_spec());
+    auto model = make_model("squeezenet", {.num_classes = 10}, rng);
+    FiConfig fi_cfg = parallel_config();
+    fi_cfg.dtype = DType::kInt8;
+    FaultInjector fi(model, fi_cfg);
+    CampaignConfig cfg;
+    cfg.trials = 16;
+    cfg.error_model = constant_value(std::numeric_limits<float>::infinity());
+    cfg.seed = 93;
+    cfg.batch_size = 4;
+    cfg.injections_per_image = 2;
+    cfg.threads = threads;
+    cfg.trace = &sink;
+    return run_classification_campaign(fi, ds, cfg);
+  };
+  trace::TraceSink serial_sink;
+  trace::TraceSink parallel_sink;
+  const auto serial = run(1, serial_sink);
+  const auto parallel = run(4, parallel_sink);
+  EXPECT_EQ(serial.trials, 16u);
+  EXPECT_TRUE(same_result(serial, parallel));
+  const std::string jsonl = trace::trace_to_jsonl(serial_sink.events());
+  EXPECT_FALSE(jsonl.empty());
+  EXPECT_EQ(jsonl, trace::trace_to_jsonl(parallel_sink.events()));
 }
 
 TEST(CampaignParallel, AttemptCapGiveUpIdenticalAcrossThreadCounts) {

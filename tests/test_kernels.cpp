@@ -19,7 +19,9 @@
 // coherence tests for Conv2d/Linear (mutation through tensor aliases — the
 // fault injector's mechanism — must never be served a stale pack), and the
 // max-pooling differential suite (AVX2 and scalar rows vs the int64-index
-// pooling MaxPool2d ran before it kept one-byte offsets).
+// pooling MaxPool2d ran before it kept one-byte offsets), and the emulated
+// INT8 projection (fake_quantize_row and the finite-only calibrate) held to
+// the scalar round trip bit for bit on every INT8 ISA.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -32,7 +34,9 @@
 #include "kernels/lowp.hpp"
 #include "models/zoo.hpp"
 #include "nn/nn.hpp"
+#include "quant/quant.hpp"
 #include "util/bits.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace pfi::kernels {
@@ -652,6 +656,102 @@ TEST(KernelsCache, PackDigestDetectsEverySingleBitFlip) {
       std::memcpy(p, &golden, sizeof(golden));
     }
     EXPECT_EQ(pack_digest(w.data(), n), d0) << "n " << n;
+  }
+}
+
+// ------------------------------------------------- emulated INT8 projection ----
+
+/// Restores the INT8 ISA (which also selects the emulated projection's
+/// path) after every test.
+class KernelsQuant : public ::testing::Test {
+ protected:
+  void TearDown() override { set_i8_isa(I8Isa::kAuto); }
+};
+
+/// Every INT8 ISA the host supports (set_i8_isa throws on the others).
+std::vector<I8Isa> supported_i8_isas() {
+  std::vector<I8Isa> isas{I8Isa::kScalar};
+  for (const I8Isa isa : {I8Isa::kMadd, I8Isa::kVnni}) {
+    try {
+      set_i8_isa(isa);
+      isas.push_back(isa);
+    } catch (const Error&) {
+    }
+  }
+  set_i8_isa(I8Isa::kAuto);
+  return isas;
+}
+
+TEST_F(KernelsQuant, FakeQuantizeRowMatchesScalarRoundTripAcrossIsa) {
+  // Values whose vector and scalar round trips could part: NaNs of both
+  // signs, quiet and signalling, with payloads (the clamp must map each to
+  // -127); infinities, signed zeros and subnormals; exact half-code ties
+  // at scale 1 (round-nearest-even, not away); saturating magnitudes; and
+  // each scale's own half-code points with their neighbours, where only an
+  // IEEE division lands on the scalar side of the tie.
+  std::vector<float> pool;
+  for (const std::uint32_t bits :
+       {0x7fc00000u, 0xffc00000u, 0x7fc12345u, 0xffc00001u, 0x7f800001u,
+        0xff800001u, 0x7fa5a5a5u, 0xffbfffffu, 0x7f800000u, 0xff800000u,
+        0x00000000u, 0x80000000u, 0x00000001u, 0x80000001u, 0x007fffffu,
+        0x807fffffu}) {
+    pool.push_back(bits_to_float(bits));
+  }
+  for (const float v : {0.5f, 1.5f, 2.5f, -2.5f, -0.5f, 126.5f, 127.5f,
+                        1e30f, -1e30f}) {
+    pool.push_back(v);
+  }
+  const std::vector<float> scales{1.0f, 1.0f / 127.0f, 3.1f / 127.0f};
+  for (const float s : scales) {
+    for (int k = -128; k <= 127; k += 5) {
+      const float tie = (static_cast<float>(k) + 0.5f) * s;
+      pool.push_back(tie);
+      pool.push_back(std::nextafter(tie, kInf));
+      pool.push_back(std::nextafter(tie, -kInf));
+    }
+  }
+  Rng rng(0x1f8);
+  const std::vector<float> noise = random_matrix(200, rng, -3.0f, 3.0f);
+  pool.insert(pool.end(), noise.begin(), noise.end());
+
+  std::vector<std::int64_t> lengths;
+  for (std::int64_t n = 0; n <= 40; ++n) lengths.push_back(n);
+  lengths.push_back(1000);
+  const auto pool_size = static_cast<std::int64_t>(pool.size());
+  for (const I8Isa isa : supported_i8_isas()) {
+    set_i8_isa(isa);
+    for (const float scale : scales) {
+      const quant::QuantParams qp{.scale = scale};
+      for (const std::int64_t n : lengths) {
+        // Each length starts at a different pool offset, so every special
+        // value lands in vector lanes and in the scalar tail.
+        std::vector<float> row(static_cast<std::size_t>(n));
+        for (std::int64_t i = 0; i < n; ++i) {
+          row[static_cast<std::size_t>(i)] =
+              pool[static_cast<std::size_t>((i * 7 + n * 13) % pool_size)];
+        }
+        std::vector<float> got = row;
+        fake_quantize_row(got.data(), n, scale);
+        for (std::int64_t i = 0; i < n; ++i) {
+          const float v = row[static_cast<std::size_t>(i)];
+          ASSERT_EQ(float_to_bits(got[static_cast<std::size_t>(i)]),
+                    float_to_bits(quant::fake_quantize_value(v, qp)))
+              << "isa " << static_cast<int>(isa) << " scale " << scale
+              << " n " << n << " element " << i << " input bits 0x"
+              << std::hex << float_to_bits(v);
+        }
+        if (n == 0) continue;
+        // calibrate takes the finite-only absmax on every ISA.
+        float serial = 0.0f;
+        for (const float v : row) {
+          if (std::isfinite(v) && std::fabs(v) > serial) serial = std::fabs(v);
+        }
+        const Tensor t({n}, row);
+        ASSERT_EQ(float_to_bits(quant::calibrate(t).scale),
+                  float_to_bits(quant::calibrate_absmax(serial).scale))
+            << "isa " << static_cast<int>(isa) << " n " << n;
+      }
+    }
   }
 }
 

@@ -19,21 +19,27 @@
 // BIT-EQUAL to the fp32 forward over pre-narrowed operands.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <array>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <initializer_list>
 #include <limits>
 #include <optional>
 #include <vector>
 
+#include "core/campaign.hpp"
 #include "core/fault_injector.hpp"
+#include "core/report.hpp"
 #include "kernels/kernels.hpp"
 #include "kernels/lowp.hpp"
 #include "nn/nn.hpp"
 #include "quant/quant.hpp"
 #include "util/bits.hpp"
 #include "util/error.hpp"
+#include "util/fileio.hpp"
 #include "util/rng.hpp"
 
 namespace pfi::kernels {
@@ -710,6 +716,69 @@ TEST_F(NativeInjector, PerLayerResolutionOverrides) {
       {.layer = p0, .dtype = core::DType::kInt8, .native = true},
       {.layer = p0, .dtype = core::DType::kFloat16, .native = false}};
   EXPECT_THROW(core::FaultInjector(model, bad), Error);
+}
+
+struct EmulatedRun {
+  core::CampaignResult result;
+  std::string csv;
+  std::string jsonl;
+};
+
+/// One emulated INT8 campaign (dtype int8, not native: every conv runs
+/// fp32 and the injector projects its output through INT8) under `isa`.
+/// 9x9 inputs give conv outputs of 243 and 100 values, so the projection
+/// runs 8-lane groups and a scalar tail on every pass.
+EmulatedRun run_emulated_int8(I8Isa isa, std::int64_t threads, bool cache) {
+  set_i8_isa(isa);
+  auto model = small_conv_model(21);
+  core::FiConfig cfg{.input_shape = {1, 9, 9}, .batch_size = 1};
+  cfg.dtype = core::DType::kInt8;
+  cfg.prefix_cache = cache;
+  core::FaultInjector fi(model, cfg);
+  data::SyntheticDataset ds(
+      {.classes = 3, .channels = 1, .height = 9, .width = 9});
+  trace::TraceSink sink(false);
+  core::CampaignConfig ccfg;
+  ccfg.trials = 16;
+  ccfg.error_model = core::single_bit_flip();
+  ccfg.seed = 22;
+  ccfg.injections_per_image = 2;
+  ccfg.threads = threads;
+  ccfg.trace = &sink;
+  EmulatedRun run;
+  run.result = core::run_classification_campaign(fi, ds, ccfg);
+  const std::string path = ::testing::TempDir() + "pfi_emulated_i8_" +
+                           std::to_string(::getpid()) + ".csv";
+  core::write_campaign_csv(path, {{"emulated-int8", run.result}});
+  run.csv = util::read_file(path);
+  std::remove(path.c_str());
+  run.jsonl = trace::trace_to_jsonl(sink.take_events());
+  set_i8_isa(I8Isa::kAuto);
+  return run;
+}
+
+TEST_F(NativeInjector, EmulatedInt8CampaignByteIdenticalAcrossIsa) {
+  // The emulated projection runs on the INT8 quantizer kernels, so the ISA
+  // selects its path; counts, CSV and trace must not notice which.
+  const EmulatedRun ref = run_emulated_int8(I8Isa::kScalar, 1, false);
+  EXPECT_EQ(ref.result.trials, 16u);
+  EXPECT_FALSE(ref.jsonl.empty());
+  for (const I8Isa isa : {I8Isa::kScalar, I8Isa::kAuto}) {
+    for (const std::int64_t threads : {std::int64_t{1}, std::int64_t{4}}) {
+      for (const bool cache : {true, false}) {
+        const EmulatedRun got = run_emulated_int8(isa, threads, cache);
+        const std::string where = "isa=" + std::to_string(static_cast<int>(isa)) +
+                                  " threads=" + std::to_string(threads) +
+                                  " cache=" + std::to_string(cache);
+        EXPECT_EQ(std::memcmp(&ref.result, &got.result,
+                              sizeof(core::CampaignResult)),
+                  0)
+            << where;
+        EXPECT_EQ(ref.csv, got.csv) << where;
+        EXPECT_EQ(ref.jsonl, got.jsonl) << where;
+      }
+    }
+  }
 }
 
 TEST_F(NativeInjector, ReplicaReproducesNativeForwardBits) {

@@ -26,6 +26,23 @@ TEST(Quant, CalibrateZeroTensorFallsBack) {
   EXPECT_EQ(quantize_value(0.0f, qp), 0);
 }
 
+TEST(Quant, CalibrateIgnoresNonFiniteValues) {
+  // The emulated path follows the native one: an upstream fault's NaN or
+  // +-Inf must neither poison the scale nor abort the campaign.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Tensor mixed({4}, std::vector<float>{nan, 2.0f, kInf, -kInf});
+  EXPECT_EQ(calibrate(mixed).scale, 2.0f / 127.0f);
+  Tensor all_bad({3}, std::vector<float>{kInf, nan, -kInf});
+  EXPECT_EQ(calibrate(all_bad).scale, 1.0f / 127.0f);
+  // The round trip then saturates them: +-Inf -> +-127, NaN -> -127.
+  const QuantParams qp = calibrate(mixed);
+  fake_quantize_(mixed, qp);
+  EXPECT_EQ(mixed[0], -127.0f * qp.scale);
+  EXPECT_EQ(mixed[2], 127.0f * qp.scale);
+  EXPECT_EQ(mixed[3], -127.0f * qp.scale);
+}
+
 TEST(Quant, RoundTripExactAtGridPoints) {
   const auto qp = calibrate_absmax(127.0f);  // scale = 1
   for (int q = -127; q <= 127; ++q) {
